@@ -40,7 +40,6 @@ from .game import (
     MatchConfig,
     MatchRecord,
     PayoffMatrix,
-    payoff_pair,
     play_match,
     trace_match,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "mutate_fsm",
     "parse_fsm",
     "parse_fsm_line",
-    "payoff_pair",
     "play_match",
     "prune_unreachable",
     "random_genome",

@@ -288,7 +288,6 @@ def _cmd_evolve(args) -> CommandOutcome:
         ("seed", params.seed),
         ("seed_fsm", ",".join(spec.name for spec in seeds) or "-"),
         ("first_generation", first_index),
-        ("moran_processes_stub", params.moran_processes),
         ("backend", active_backend()),
     ])
 

@@ -24,9 +24,9 @@ import numpy as np
 
 from . import kernels
 from .fsm import FsmSpec, parse_fsm_line, serialize_fsm, serialize_fsm_line, validate_fsm
-from .game import Action, DEFAULT_PAYOFFS, MatchConfig, play_match
+from .game import Action, DEFAULT_PAYOFFS
 from .rng import SplitMix64, derive_seed
-from .strategies import FsmStrategy, default_registry
+from .strategies import default_registry
 
 _BOTH_ACTIONS = (Action.C, Action.D)
 
@@ -45,9 +45,6 @@ class EvolutionParams:
     noise: float = 0.0
     opponent_roster: tuple = None
     seed: int = 0
-    # The runs these defaults follow listed "4 Moran processes" without
-    # defining them; carried so run headers can show it, never read.
-    moran_processes: int = 4
 
     def __post_init__(self):
         if self.generations < 0:
@@ -185,27 +182,18 @@ def fitness(spec: FsmSpec, params: EvolutionParams, registry=None) -> float:
     seeds = [derive_seed(root, "opp", idx, rep) for idx, rep in jobs]
 
     totals = [0.0] * params.repetitions
-    if all(opp.program is not None for opp in opponents):
-        candidate = kernels.fsm_program(spec)
-        acts_a, acts_b = kernels.play_batch(
-            [candidate] * len(jobs),
-            [opponents[idx].program for idx, _ in jobs],
-            params.turns,
-            params.noise,
-            seeds,
-        )
-        table = DEFAULT_PAYOFFS.as_array()
-        match_totals = table[acts_a.astype(np.int64), acts_b.astype(np.int64)].sum(axis=1)
-        for (idx, rep), total in zip(jobs, match_totals):
-            totals[rep] += float(total)
-    else:
-        for (idx, rep), seed in zip(jobs, seeds):
-            record = play_match(
-                FsmStrategy(spec),
-                opponents[idx].make(),
-                MatchConfig(turns=params.turns, noise=params.noise, seed=seed),
-            )
-            totals[rep] += record.payoff_a
+    candidate = kernels.fsm_program(spec)
+    acts_a, acts_b = kernels.play_batch(
+        [candidate] * len(jobs),
+        [opponents[idx].program for idx, _ in jobs],
+        params.turns,
+        params.noise,
+        seeds,
+    )
+    table = DEFAULT_PAYOFFS.as_array()
+    match_totals = table[acts_a.astype(np.int64), acts_b.astype(np.int64)].sum(axis=1)
+    for (idx, rep), total in zip(jobs, match_totals):
+        totals[rep] += float(total)
 
     denominator = params.turns * len(opponents)
     return statistics.fmean(total / denominator for total in totals)

@@ -3,8 +3,9 @@
 Two players pick Cooperate or Defect simultaneously each turn, collect
 stage payoffs, and see what the other side just played before choosing
 again.  Everything downstream (tournaments, the evolutionary search)
-sits on top of `play_match`, so the engine is deterministic to the last
-bit: same strategies, same config, same payoff matrix, same record.
+plays on the kernels in `kernels.py`, which follow the contract below,
+so the engine is deterministic to the last bit: same strategies, same
+config, same payoff matrix, same record.
 
 Draw-order contract for one turn (the kernels follow it exactly):
 
@@ -23,6 +24,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from . import kernels
 from .rng import substream
 
 
@@ -83,28 +85,12 @@ class PayoffMatrix:
                 "cannot beat mutual cooperation"
             )
 
-    def pair(self, own: Action, opp: Action) -> tuple:
-        """Payoffs (for self, for opponent) of one stage outcome."""
-        table = {
-            (Action.C, Action.C): (self.r, self.r),
-            (Action.C, Action.D): (self.s, self.t),
-            (Action.D, Action.C): (self.t, self.s),
-            (Action.D, Action.D): (self.p, self.p),
-        }
-        return table[(own, opp)]
-
     def as_array(self) -> np.ndarray:
         """2x2 float array indexed [own action, opponent action]."""
         return np.array([[self.r, self.s], [self.t, self.p]], dtype=np.float64)
 
 
 DEFAULT_PAYOFFS = PayoffMatrix()
-
-
-def payoff_pair(action_a: Action, action_b: Action, matrix: PayoffMatrix = DEFAULT_PAYOFFS) -> tuple:
-    """Stage payoffs (a, b) for one simultaneous move pair."""
-    pa, pb = matrix.pair(action_a, action_b)
-    return pa, pb
 
 
 @dataclass(frozen=True)
@@ -193,21 +179,22 @@ def trace_match(strat_a, strat_b, cfg: MatchConfig, matrix: PayoffMatrix = DEFAU
 
 
 def play_match(strat_a, strat_b, cfg: MatchConfig, matrix: PayoffMatrix = DEFAULT_PAYOFFS) -> MatchRecord:
-    """Play one match between two freshly reset strategies.
+    """Play one match between two freshly reset strategies on the kernel.
 
-    When both strategies carry a kernel program (all built-ins do) the
-    match runs on the compiled fast path; otherwise it falls back to the
-    generic interpreter.  Both paths produce identical records.
+    Both strategies must carry a kernel program, as every registry entry
+    does; a ValueError names the one that lacks it.  A strategy without
+    a program can still be played turn by turn with `trace_match`.
     """
-    prog_a = getattr(strat_a, "program", None)
-    prog_b = getattr(strat_b, "program", None)
-    if prog_a is not None and prog_b is not None:
-        from . import kernels
-
-        raw_a, raw_b = kernels.play_one(prog_a, prog_b, cfg.turns, cfg.noise, cfg.seed)
-        actions_a = tuple(Action(int(v)) for v in raw_a)
-        actions_b = tuple(Action(int(v)) for v in raw_b)
-    else:
-        actions_a, actions_b, _, _ = _play_generic(strat_a, strat_b, cfg)
+    for strat in (strat_a, strat_b):
+        if getattr(strat, "program", None) is None:
+            raise ValueError(
+                f"strategy {strat.name!r} has no kernel program; "
+                "play it with trace_match instead"
+            )
+    raw_a, raw_b = kernels.play_one(
+        strat_a.program, strat_b.program, cfg.turns, cfg.noise, cfg.seed
+    )
+    actions_a = tuple(Action(int(v)) for v in raw_a)
+    actions_b = tuple(Action(int(v)) for v in raw_b)
     payoff_a, payoff_b = score_actions(actions_a, actions_b, matrix)
     return MatchRecord(actions_a, actions_b, payoff_a, payoff_b)

@@ -1,19 +1,20 @@
 """The built-in opponent roster.
 
-Classic iterated-dilemma strategies are written here the obvious way,
-as little stateful classes.  The hand-built and evolved machines ship
-as text files under data/ and are parsed at import; each file's sha256
-is pinned below, so a corrupted or edited copy stops the registry from
-loading rather than silently changing tournament results.
+Every deterministic built-in is a finite-state machine.  The seven
+classics (Cooperator, Defector, TitForTat, ...) are defined once, as
+the FSM text below; the hand-built and evolved machines ship as text
+files under data/ and are parsed at import.  Each data file's sha256 is
+pinned below, so a corrupted or edited copy stops the registry from
+loading rather than silently changing tournament results.  Random is
+the one stochastic entry and has its own class.
 
-Every deterministic built-in also knows an equivalent finite-state
-machine.  That is what lets the compiled kernels play whole rosters:
-the class is the definition, the machine is the kernel encoding, and a
-test holds the two equal.
+Every entry carries a kernel program, so the compiled kernels play
+whole rosters; `FsmStrategy` interprets the same machines turn by turn
+for traces.
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from . import kernels
@@ -46,7 +47,6 @@ class Strategy:
     """
 
     name = "?"
-    stochastic = False
     program = None
 
     def reset(self, rng=None):
@@ -59,123 +59,10 @@ class Strategy:
         raise NotImplementedError
 
 
-class Cooperator(Strategy):
-    """Cooperates no matter what."""
-
-    name = "Cooperator"
-
-    def opening(self):
-        return Action.C
-
-    def respond(self, opp_prev):
-        return Action.C
-
-
-class Defector(Strategy):
-    """Defects no matter what."""
-
-    name = "Defector"
-
-    def opening(self):
-        return Action.D
-
-    def respond(self, opp_prev):
-        return Action.D
-
-
-class TitForTat(Strategy):
-    """Opens with C, then mirrors whatever the opponent just did."""
-
-    name = "TitForTat"
-
-    def opening(self):
-        return Action.C
-
-    def respond(self, opp_prev):
-        return opp_prev
-
-
-class TitForTwoTats(Strategy):
-    """Like TitForTat but more forgiving: defects only after two
-    opponent defections in a row."""
-
-    name = "TitForTwoTats"
-
-    def reset(self, rng=None):
-        self._streak = 0
-
-    def opening(self):
-        self._streak = 0
-        return Action.C
-
-    def respond(self, opp_prev):
-        self._streak = self._streak + 1 if opp_prev is Action.D else 0
-        return Action.D if self._streak >= 2 else Action.C
-
-
-class Grudger(Strategy):
-    """Cooperates until crossed once, then defects forever."""
-
-    name = "Grudger"
-
-    def reset(self, rng=None):
-        self._betrayed = False
-
-    def opening(self):
-        self._betrayed = False
-        return Action.C
-
-    def respond(self, opp_prev):
-        if opp_prev is Action.D:
-            self._betrayed = True
-        return Action.D if self._betrayed else Action.C
-
-
-class Alternator(Strategy):
-    """Plays C, D, C, D, ... regardless of the opponent."""
-
-    name = "Alternator"
-
-    def reset(self, rng=None):
-        self._last = None
-
-    def opening(self):
-        self._last = Action.C
-        return self._last
-
-    def respond(self, opp_prev):
-        self._last = self._last.flip()
-        return self._last
-
-
-class WinStayLoseShift(Strategy):
-    """Repeats its move after a good payoff, switches after a bad one.
-
-    Under any valid payoff matrix the good outcomes (temptation and
-    reward) are exactly the ones where the opponent cooperated, so the
-    rule reduces to: stay on opponent C, shift on opponent D.
-    """
-
-    name = "WinStayLoseShift"
-
-    def reset(self, rng=None):
-        self._last = None
-
-    def opening(self):
-        self._last = Action.C
-        return self._last
-
-    def respond(self, opp_prev):
-        if opp_prev is Action.D:
-            self._last = self._last.flip()
-        return self._last
-
-
 class Random(Strategy):
     """Cooperates with fixed probability p each turn, D otherwise."""
 
     name = "Random"
-    stochastic = True
 
     def __init__(self, p: float = 0.5):
         if not (0.0 <= p <= 1.0):
@@ -220,7 +107,7 @@ class FsmStrategy(Strategy):
         return own
 
 
-# ── FSM encodings of the deterministic classics ──────────────────────
+# ── the deterministic classics ───────────────────────────────────────
 
 _CLASSIC_FSM_TEXT = {
     "Cooperator": """
@@ -267,6 +154,8 @@ _CLASSIC_FSM_TEXT = {
         2 C -> 1 C
         2 D -> 1 C
     """,
+    # under any valid payoff matrix the good outcomes (t and r) are the
+    # ones where the opponent cooperated: stay on C, shift on D
     "WinStayLoseShift": """
         fsm WinStayLoseShift
         start 1 C
@@ -295,7 +184,7 @@ class StrategyId:
 class RegisteredStrategy:
     id: StrategyId
     factory: object  # zero-arg callable producing a fresh instance
-    program: object  # kernel Program, or None if not encodable
+    program: object  # kernel Program; every entry has one
     spec: object  # FsmSpec when one exists, else None
 
     def make(self) -> Strategy:
@@ -348,16 +237,6 @@ class Registry:
         return Registry(list(self._entries.values()) + [entry])
 
 
-def _behavioral_entry(cls) -> RegisteredStrategy:
-    spec = CLASSIC_FSMS[cls.name]
-    return RegisteredStrategy(
-        id=StrategyId(cls.name, "behavioral"),
-        factory=cls,
-        program=kernels.fsm_program(spec),
-        spec=spec,
-    )
-
-
 def _fsm_entry(spec: FsmSpec) -> RegisteredStrategy:
     return RegisteredStrategy(
         id=StrategyId(spec.name, "fsm"),
@@ -367,22 +246,20 @@ def _fsm_entry(spec: FsmSpec) -> RegisteredStrategy:
     )
 
 
+def _behavioral_entry(name: str) -> RegisteredStrategy:
+    return replace(_fsm_entry(CLASSIC_FSMS[name]), id=StrategyId(name, "behavioral"))
+
+
 def _build_default_registry() -> Registry:
-    entries = [
-        _behavioral_entry(Cooperator),
-        _behavioral_entry(Defector),
-        _behavioral_entry(TitForTat),
-        _behavioral_entry(TitForTwoTats),
-        _behavioral_entry(Grudger),
-        _behavioral_entry(Alternator),
-        _behavioral_entry(WinStayLoseShift),
+    entries = [_behavioral_entry(name) for name in _CLASSIC_FSM_TEXT]
+    entries.append(
         RegisteredStrategy(
             id=StrategyId("Random", "stochastic"),
             factory=lambda: Random(0.5),
             program=kernels.random_program(0.5),
             spec=None,
-        ),
-    ]
+        )
+    )
     for name in _GOLDEN_SHA256:
         entries.append(_fsm_entry(_load_golden(name)))
     return Registry(entries)

@@ -18,11 +18,9 @@ from dataclasses import dataclass
 from . import kernels
 from .game import (
     Action,
-    MatchConfig,
     MatchRecord,
     actions_from_string,
     actions_to_string,
-    play_match,
     score_actions,
 )
 from .rng import derive_seed
@@ -97,33 +95,16 @@ def run_tournament(config: TournamentConfig, registry=None) -> TournamentResult:
             seed = derive_seed(config.master_seed, "match", name_a, name_b, rep)
             jobs.append((name_a, name_b, rep, seed))
 
+    progs_a = [by_name[a].program for a, _, _, _ in jobs]
+    progs_b = [by_name[b].program for _, b, _, _ in jobs]
+    seeds = [seed for _, _, _, seed in jobs]
+    raw_a, raw_b = kernels.play_batch(progs_a, progs_b, config.turns, config.noise, seeds)
     histories = {}
-    kernel_jobs = [
-        job for job in jobs
-        if by_name[job[0]].program is not None and by_name[job[1]].program is not None
-    ]
-    if kernel_jobs:
-        progs_a = [by_name[a].program for a, _, _, _ in kernel_jobs]
-        progs_b = [by_name[b].program for _, b, _, _ in kernel_jobs]
-        seeds = [seed for _, _, _, seed in kernel_jobs]
-        raw_a, raw_b = kernels.play_batch(progs_a, progs_b, config.turns, config.noise, seeds)
-        for row, (name_a, name_b, rep, _) in enumerate(kernel_jobs):
-            actions_a = tuple(Action(int(v)) for v in raw_a[row])
-            actions_b = tuple(Action(int(v)) for v in raw_b[row])
-            payoff_a, payoff_b = score_actions(actions_a, actions_b)
-            histories[(name_a, name_b, rep)] = MatchRecord(actions_a, actions_b, payoff_a, payoff_b)
-    for name_a, name_b, rep, seed in jobs:
-        if (name_a, name_b, rep) in histories:
-            continue
-        record = play_match(
-            by_name[name_a].make(),
-            by_name[name_b].make(),
-            MatchConfig(turns=config.turns, noise=config.noise, seed=seed),
-        )
-        histories[(name_a, name_b, rep)] = record
-
-    # keep history iteration order canonical regardless of compute path
-    histories = {key: histories[key] for key in sorted(histories)}
+    for row, (name_a, name_b, rep, _) in enumerate(jobs):
+        actions_a = tuple(Action(int(v)) for v in raw_a[row])
+        actions_b = tuple(Action(int(v)) for v in raw_b[row])
+        payoff_a, payoff_b = score_actions(actions_a, actions_b)
+        histories[(name_a, name_b, rep)] = MatchRecord(actions_a, actions_b, payoff_a, payoff_b)
 
     scores = {name: [] for name in names}
     for rep in range(config.repetitions):

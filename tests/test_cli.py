@@ -192,8 +192,13 @@ class TestTraceCommand:
         assert len(rows) == 21
         acts_a = "".join(row.split()[1] for row in rows)
         assert acts_a == "CDDDDCDDDDCDDDDCDDDDC"
-        # FSM side shows state ids, class side shows a dash
+        # machines, the classics included, show state ids
         assert rows[0].split()[3].isdigit()
+        assert rows[0].split()[4].isdigit()
+        # Random has no state and shows a dash
+        assert main(["trace", "--a", "EvolvedFSM6", "--b", "Random",
+                     "--turns", "3"]) == 0
+        rows = _data_lines(capsys.readouterr().out)[1:]
         assert rows[0].split()[4] == "-"
 
     def test_accepts_fsm_files(self, tmp_path, capsys):

@@ -11,11 +11,11 @@ from ipdlab import (
     MatchConfig,
     PayoffMatrix,
     builtin_strategy,
-    payoff_pair,
     play_match,
     trace_match,
 )
 from ipdlab.game import actions_from_string, actions_to_string, score_actions
+from ipdlab.strategies import Strategy
 
 from conftest import fsm_specs
 
@@ -45,17 +45,21 @@ class TestPayoffMatrix:
         assert (m.t, m.r, m.p, m.s) == (5.0, 3.0, 1.0, 0.0)
 
     def test_all_four_outcomes(self):
-        assert payoff_pair(Action.C, Action.C) == (3.0, 3.0)
-        assert payoff_pair(Action.C, Action.D) == (0.0, 5.0)
-        assert payoff_pair(Action.D, Action.C) == (5.0, 0.0)
-        assert payoff_pair(Action.D, Action.D) == (1.0, 1.0)
+        table = DEFAULT_PAYOFFS.as_array()
+        assert (table[Action.C, Action.C], table[Action.C, Action.C]) == (3.0, 3.0)
+        assert (table[Action.C, Action.D], table[Action.D, Action.C]) == (0.0, 5.0)
+        assert (table[Action.D, Action.C], table[Action.C, Action.D]) == (5.0, 0.0)
+        assert (table[Action.D, Action.D], table[Action.D, Action.D]) == (1.0, 1.0)
 
     def test_stage_payoffs_are_symmetric(self):
+        # one [own, opponent] table serves both seats: a turn scores each
+        # player from its own row
+        table = DEFAULT_PAYOFFS.as_array()
         for a in (Action.C, Action.D):
             for b in (Action.C, Action.D):
-                pa, pb = payoff_pair(a, b)
-                qb, qa = payoff_pair(b, a)
-                assert (pa, pb) == (qa, qb)
+                pa, pb = score_actions((a,), (b,))
+                qb, qa = score_actions((b,), (a,))
+                assert (pa, pb) == (qa, qb) == (table[a, b], table[b, a])
 
     def test_ordering_invariant_enforced(self):
         with pytest.raises(ValueError, match="t > r > p > s"):
@@ -68,8 +72,8 @@ class TestPayoffMatrix:
             PayoffMatrix(t=6, r=3, p=1, s=0)
 
     def test_custom_matrix_accepted(self):
-        m = PayoffMatrix(t=7, r=5, p=2, s=1)
-        assert m.pair(Action.D, Action.C) == (7, 1)
+        table = PayoffMatrix(t=7, r=5, p=2, s=1).as_array()
+        assert (table[Action.D, Action.C], table[Action.C, Action.D]) == (7, 1)
 
 
 class TestMatchConfig:
@@ -84,6 +88,16 @@ class TestMatchConfig:
     def test_boundary_noise_accepted(self):
         assert MatchConfig(turns=5, noise=0.0).noise == 0.0
         assert MatchConfig(turns=5, noise=1.0).noise == 1.0
+
+
+class _NoProgram(Strategy):
+    name = "NoProgram"
+
+    def opening(self):
+        return Action.C
+
+    def respond(self, opp_prev):
+        return opp_prev
 
 
 def _play(name_a, name_b, **kwargs):
@@ -143,6 +157,13 @@ class TestPlayMatch:
         assert actions_to_string(record.actions_b) == "DDDDDD"
         assert actions_to_string(record.actions_a) == "DCCCCC"
 
+    def test_strategy_without_program_is_refused(self):
+        cfg = MatchConfig(turns=4)
+        with pytest.raises(ValueError, match="'NoProgram'.*trace_match"):
+            play_match(builtin_strategy("Defector")(), _NoProgram(), cfg)
+        trace = trace_match(builtin_strategy("Defector")(), _NoProgram(), cfg)
+        assert actions_to_string(trace.record.actions_b) == "CDDD"
+
 
 class TestTraceMatch:
     def test_fsm_state_trajectory_exposed(self):
@@ -151,6 +172,10 @@ class TestTraceMatch:
             builtin_strategy("EvolvedFSM6")(), builtin_strategy("Defector")(), cfg
         )
         assert trace.states_a == (5, 7, 6, 8, 4, 5)
+        assert trace.states_b == (1,) * 6
+        trace = trace_match(
+            builtin_strategy("EvolvedFSM6")(), builtin_strategy("Random")(), cfg
+        )
         assert trace.states_b == (None,) * 6
 
     def test_trace_record_matches_play_match(self):

@@ -10,8 +10,8 @@ from ipdlab import (
     builtin_fsm,
     builtin_strategy,
     parse_fsm,
-    play_match,
     roster_default,
+    trace_match,
 )
 from ipdlab.rng import SplitMix64
 from ipdlab.strategies import (
@@ -38,35 +38,47 @@ def _script(text):
     return [Action.from_token(ch) for ch in text]
 
 
+def _assert_pinned(name, *scripts):
+    """Each (opponent script, expected plays) pair plays as pinned, and the
+    scripts together visit every (state, opponent action) row of the
+    classic's machine, so no row of its FSM text goes unchecked."""
+    visited = set()
+    for opponent, expected in scripts:
+        strat = builtin_strategy(name)()
+        strat.reset()
+        plays = [strat.opening()]
+        for opp in _script(opponent):
+            visited.add((strat.state, opp))
+            plays.append(strat.respond(opp))
+        assert plays == _script(expected), opponent
+    assert visited == set(CLASSIC_FSMS[name].transitions)
+
+
 class TestClassicBehaviors:
     def test_cooperator_never_defects(self):
-        plays = _drive(builtin_strategy("Cooperator")(), _script("DDDD"))
-        assert plays == _script("CCCCC")
+        _assert_pinned("Cooperator", ("DDCD", "CCCCC"))
 
     def test_defector_never_cooperates(self):
-        plays = _drive(builtin_strategy("Defector")(), _script("CCCC"))
-        assert plays == _script("DDDDD")
+        _assert_pinned("Defector", ("CCDC", "DDDDD"))
 
     def test_titfortat_mirrors(self):
-        plays = _drive(builtin_strategy("TitForTat")(), _script("CDDC"))
-        assert plays == _script("CCDDC")
+        _assert_pinned("TitForTat", ("CDDC", "CCDDC"))
 
     def test_titfortwotats_needs_two_in_a_row(self):
-        strat = builtin_strategy("TitForTwoTats")
-        assert _drive(strat(), _script("DCDCD")) == _script("CCCCCC")
-        assert _drive(strat(), _script("DDDCC")) == _script("CCDDCC")
+        _assert_pinned(
+            "TitForTwoTats",
+            ("DCDCD", "CCCCCC"),
+            ("DDDCC", "CCDDCC"),
+        )
 
     def test_grudger_never_forgives(self):
-        plays = _drive(builtin_strategy("Grudger")(), _script("CDCCC"))
-        assert plays == _script("CCDDDD")
+        _assert_pinned("Grudger", ("CDCDC", "CCDDDD"))
 
     def test_alternator_ignores_opponent(self):
-        plays = _drive(builtin_strategy("Alternator")(), _script("DDDD"))
-        assert plays == _script("CDCDC")
+        _assert_pinned("Alternator", ("CCDDC", "CDCDCD"))
 
     def test_winstayloseshift_against_alternator(self):
-        plays = _drive(builtin_strategy("WinStayLoseShift")(), _script("CDCDC"))
-        assert plays == _script("CCDDCC")
+        _assert_pinned("WinStayLoseShift", ("CDCDC", "CCDDCC"))
 
     def test_winstayloseshift_flips_every_loss(self):
         plays = _drive(builtin_strategy("WinStayLoseShift")(), _script("DDDD"))
@@ -95,22 +107,58 @@ class TestRandom:
         assert Action.C in one and Action.D in one
 
 
+def _wsls(mine, theirs):
+    # win (opponent cooperated) -> stay, loss -> shift
+    if not mine:
+        return Action.C
+    return mine[-1] if theirs[-1] is Action.C else mine[-1].flip()
+
+
+# Each classic's textbook rule over the play history (own moves, opponent's
+# moves), written independently of its FSM text.
+_CLASSIC_RULES = {
+    "Cooperator": lambda mine, theirs: Action.C,
+    "Defector": lambda mine, theirs: Action.D,
+    "TitForTat": lambda mine, theirs: theirs[-1] if theirs else Action.C,
+    "TitForTwoTats": lambda mine, theirs: (
+        Action.D if theirs[-2:] == [Action.D, Action.D] else Action.C
+    ),
+    "Grudger": lambda mine, theirs: Action.D if Action.D in theirs else Action.C,
+    "Alternator": lambda mine, theirs: Action.C if len(mine) % 2 == 0 else Action.D,
+    "WinStayLoseShift": _wsls,
+}
+
+
+def _drive_rule(rule, opponent_actions):
+    mine, theirs = [], []
+    for opp in [None, *opponent_actions]:
+        if opp is not None:
+            theirs.append(opp)
+        mine.append(rule(mine, theirs))
+    return mine
+
+
 class TestFsmEncodings:
-    """Each deterministic classic equals its machine, move for move."""
+    """Each deterministic classic's machine plays its textbook rule, move for
+    move."""
+
+    def test_rules_cover_every_classic(self):
+        assert sorted(_CLASSIC_RULES) == sorted(CLASSIC_FSMS)
 
     @pytest.mark.parametrize("name", sorted(CLASSIC_FSMS))
     @given(script=action_sequences)
     @settings(max_examples=40, deadline=None)
     def test_class_matches_machine(self, name, script):
-        cls_plays = _drive(builtin_strategy(name)(), script)
-        fsm_plays = _drive(FsmStrategy(CLASSIC_FSMS[name]), script)
-        assert cls_plays == fsm_plays
+        rule_plays = _drive_rule(_CLASSIC_RULES[name], script)
+        fsm_plays = _drive(builtin_strategy(name)(), script)
+        assert rule_plays == fsm_plays
 
     def test_fsm_strategy_resets_between_matches(self):
+        # one instance, two matches on the generic interpreter
         strat = FsmStrategy(builtin_fsm("EvolvedFSM6"))
         cfg = MatchConfig(turns=9, seed=1)
-        first = play_match(strat, builtin_strategy("Defector")(), cfg)
-        second = play_match(strat, builtin_strategy("Defector")(), cfg)
+        first = trace_match(strat, builtin_strategy("Defector")(), cfg)
+        second = trace_match(strat, builtin_strategy("Defector")(), cfg)
         assert first == second
 
 
@@ -134,6 +182,12 @@ class TestRegistry:
         spec = parse_fsm("fsm TitForTat\nstart 1 C\n1 C -> 1 C\n1 D -> 1 D\n")
         with pytest.raises(ValueError, match="duplicate strategy name"):
             registry.with_fsm(spec)
+
+    def test_every_entry_has_a_kernel_program(self, registry):
+        spec = parse_fsm("fsm Custom\nstart 1 D\n1 C -> 1 D\n1 D -> 1 D\n")
+        for reg in (registry, registry.with_fsm(spec)):
+            for name in reg.names():
+                assert reg.get(name).program is not None, name
 
     def test_builtin_strategy_factories_are_fresh(self):
         factory = builtin_strategy("Grudger")
