@@ -162,6 +162,17 @@ def _atomic_write_all(staged):
     return tuple(path for path, _ in staged)
 
 
+def _cut_torn_tail(path) -> int:
+    """Cut a log back to its last newline, dropping a line a kill left unfinished.
+
+    Returns the size that remains.
+    """
+    with open(path, "rb+") as fh:
+        size = fh.read().rfind(b"\n") + 1
+        fh.truncate(size)
+    return size
+
+
 def _resolve_roster(roster_arg: str, registry):
     """Expand a --roster value into (registry, canonical name list)."""
     reg = registry
@@ -263,7 +274,7 @@ def _cmd_evolve(args) -> CommandOutcome:
     if args.resume:
         if not args.log:
             raise ValueError("--resume needs --log to know where the old run lives")
-        if os.path.exists(args.log) and os.path.getsize(args.log) > 0:
+        if os.path.exists(args.log) and _cut_torn_tail(args.log) > 0:
             records = read_generation_log(args.log)
             last = records[-1]
             if last.index >= params.generations:
@@ -366,7 +377,7 @@ def _cmd_trace(args) -> CommandOutcome:
     for i in range(config.turns):
         sa = trace.states_a[i] if trace.states_a[i] is not None else "-"
         sb = trace.states_b[i] if trace.states_b[i] is not None else "-"
-        print(f"{i + 1:4d} {record.actions_a[i].name:>8s} {record.actions_b[i].name:>8s} "
+        print(f"{i + 1:4d} {record.actions_a[i]:>8s} {record.actions_b[i]:>8s} "
               f"{str(sa):>7s} {str(sb):>7s}")
     print(f"# payoffs {record.payoff_a:g} {record.payoff_b:g}")
     return CommandOutcome(0)

@@ -20,11 +20,9 @@ import hashlib
 import statistics
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import kernels
 from .fsm import FsmSpec, parse_fsm_line, serialize_fsm, serialize_fsm_line, validate_fsm
-from .game import Action, DEFAULT_PAYOFFS
+from .game import Action, score_actions
 from .rng import SplitMix64, derive_seed
 from .strategies import default_registry
 
@@ -181,7 +179,6 @@ def fitness(spec: FsmSpec, params: EvolutionParams, registry=None) -> float:
     ]
     seeds = [derive_seed(root, "opp", idx, rep) for idx, rep in jobs]
 
-    totals = [0.0] * params.repetitions
     candidate = kernels.fsm_program(spec)
     acts_a, acts_b = kernels.play_batch(
         [candidate] * len(jobs),
@@ -190,10 +187,10 @@ def fitness(spec: FsmSpec, params: EvolutionParams, registry=None) -> float:
         params.noise,
         seeds,
     )
-    table = DEFAULT_PAYOFFS.as_array()
-    match_totals = table[acts_a.astype(np.int64), acts_b.astype(np.int64)].sum(axis=1)
-    for (idx, rep), total in zip(jobs, match_totals):
-        totals[rep] += float(total)
+    # Jobs run opponent-major, so each column holds one repetition.  The
+    # payoffs are integers, so the order of summation cannot move a bit.
+    match_totals, _ = score_actions(acts_a, acts_b)
+    totals = match_totals.reshape(len(opponents), params.repetitions).sum(axis=0)
 
     denominator = params.turns * len(opponents)
     return statistics.fmean(total / denominator for total in totals)

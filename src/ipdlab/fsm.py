@@ -47,10 +47,15 @@ class FsmSpec:
 
 
 class FsmParseError(ValueError):
-    """Raised when FSM text cannot be read at all.  Carries a line number."""
+    """Raised when FSM text cannot be read at all.  Carries a line number.
 
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
+    In single-line text (statements joined by ';') the position counts
+    statements instead, and the message says so.
+    """
+
+    def __init__(self, message: str, line_number: int, unit: str = "line"):
+        super().__init__(f"{unit} {line_number}: {message}")
+        self.message = message
         self.line_number = line_number
 
 
@@ -349,7 +354,10 @@ def serialize_fsm_line(spec: FsmSpec) -> str:
 
 def parse_fsm_line(text: str) -> FsmSpec:
     """Inverse of serialize_fsm_line."""
-    return parse_fsm(text.replace(";", "\n"))
+    try:
+        return parse_fsm(text.replace(";", "\n"))
+    except FsmParseError as exc:
+        raise FsmParseError(exc.message, exc.line_number, "statement") from None
 
 
 def load_fsm_file(path) -> FsmSpec:

@@ -46,15 +46,6 @@ class Action(IntEnum):
         raise ValueError(f"expected action token 'C' or 'D', got {token!r}")
 
 
-def actions_to_string(actions) -> str:
-    """Compact one-letter-per-turn rendering, e.g. 'CDDDD'."""
-    return "".join(a.name for a in actions)
-
-
-def actions_from_string(text: str) -> tuple:
-    return tuple(Action.from_token(ch) for ch in text)
-
-
 @dataclass(frozen=True)
 class PayoffMatrix:
     """Symmetric 2x2 payoff table.
@@ -110,20 +101,33 @@ class MatchConfig:
 
 @dataclass(frozen=True)
 class MatchRecord:
-    """Full transcript of one match: recorded actions and payoff totals."""
+    """Full transcript of one match: recorded actions as C/D text, one
+    letter per turn (the history dump's form), and payoff totals."""
 
-    actions_a: tuple
-    actions_b: tuple
+    actions_a: str
+    actions_b: str
     payoff_a: float
     payoff_b: float
 
 
-def score_actions(actions_a, actions_b, matrix: PayoffMatrix = DEFAULT_PAYOFFS) -> tuple:
-    """Total payoffs for two equal-length recorded action sequences."""
+def score_actions(codes_a, codes_b, matrix: PayoffMatrix = DEFAULT_PAYOFFS) -> tuple:
+    """A's and B's payoff totals of action codes (C = 0, D = 1), summed over the
+    last axis: one pair of totals per match for a (matches, turns) block."""
     table = matrix.as_array()
-    ia = np.fromiter((a.value for a in actions_a), dtype=np.int64, count=len(actions_a))
-    ib = np.fromiter((b.value for b in actions_b), dtype=np.int64, count=len(actions_b))
-    return float(table[ia, ib].sum()), float(table[ib, ia].sum())
+    return table[codes_a, codes_b].sum(axis=-1), table[codes_b, codes_a].sum(axis=-1)
+
+
+_LETTERS = np.frombuffer(b"CD", np.uint8)
+
+
+def match_records(codes_a, codes_b, matrix: PayoffMatrix = DEFAULT_PAYOFFS) -> list:
+    """One MatchRecord per row of two (matches, turns) blocks of action codes."""
+    codes_a, codes_b = np.asarray(codes_a), np.asarray(codes_b)
+    # each row of letters, viewed as one fixed-width byte string
+    text_a, text_b = (_LETTERS[codes].view(f"S{codes.shape[1]}").astype(str).ravel().tolist()
+                      for codes in (codes_a, codes_b))
+    payoffs_a, payoffs_b = score_actions(codes_a, codes_b, matrix)
+    return list(map(MatchRecord, text_a, text_b, payoffs_a.tolist(), payoffs_b.tolist()))
 
 
 def _play_generic(strat_a, strat_b, cfg: MatchConfig) -> tuple:
@@ -173,8 +177,7 @@ class MatchTrace:
 def trace_match(strat_a, strat_b, cfg: MatchConfig, matrix: PayoffMatrix = DEFAULT_PAYOFFS) -> MatchTrace:
     """Play on the generic interpreter and keep the state trajectory."""
     actions_a, actions_b, states_a, states_b = _play_generic(strat_a, strat_b, cfg)
-    payoff_a, payoff_b = score_actions(actions_a, actions_b, matrix)
-    record = MatchRecord(actions_a, actions_b, payoff_a, payoff_b)
+    record = match_records([actions_a], [actions_b], matrix)[0]
     return MatchTrace(record=record, states_a=states_a, states_b=states_b)
 
 
@@ -194,7 +197,4 @@ def play_match(strat_a, strat_b, cfg: MatchConfig, matrix: PayoffMatrix = DEFAUL
     raw_a, raw_b = kernels.play_one(
         strat_a.program, strat_b.program, cfg.turns, cfg.noise, cfg.seed
     )
-    actions_a = tuple(Action(int(v)) for v in raw_a)
-    actions_b = tuple(Action(int(v)) for v in raw_b)
-    payoff_a, payoff_b = score_actions(actions_a, actions_b, matrix)
-    return MatchRecord(actions_a, actions_b, payoff_a, payoff_b)
+    return match_records([raw_a], [raw_b], matrix)[0]

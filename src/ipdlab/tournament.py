@@ -15,14 +15,10 @@ across repetitions, ties broken by roster position.
 import statistics
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import kernels
-from .game import (
-    Action,
-    MatchRecord,
-    actions_from_string,
-    actions_to_string,
-    score_actions,
-)
+from .game import MatchRecord, match_records
 from .rng import derive_seed
 from .strategies import default_registry
 
@@ -99,12 +95,8 @@ def run_tournament(config: TournamentConfig, registry=None) -> TournamentResult:
     progs_b = [by_name[b].program for _, b, _, _ in jobs]
     seeds = [seed for _, _, _, seed in jobs]
     raw_a, raw_b = kernels.play_batch(progs_a, progs_b, config.turns, config.noise, seeds)
-    histories = {}
-    for row, (name_a, name_b, rep, _) in enumerate(jobs):
-        actions_a = tuple(Action(int(v)) for v in raw_a[row])
-        actions_b = tuple(Action(int(v)) for v in raw_b[row])
-        payoff_a, payoff_b = score_actions(actions_a, actions_b)
-        histories[(name_a, name_b, rep)] = MatchRecord(actions_a, actions_b, payoff_a, payoff_b)
+    records = match_records(raw_a, raw_b)
+    histories = {(a, b, rep): record for (a, b, rep, _), record in zip(jobs, records)}
 
     scores = {name: [] for name in names}
     for rep in range(config.repetitions):
@@ -177,7 +169,8 @@ def cooperation_rates(histories, player: str) -> CooperationReport:
     shape).  Turn k >= 2 contributes one sample to the context formed by
     turn k-1's recorded actions.
     """
-    tallies = {label: [0, 0] for label in CONTEXTS}
+    # tallies[4 * own_prev + 2 * opp_prev + own_next], action codes C = 0, D = 1
+    tallies = np.zeros(8, dtype=np.int64)
     found = False
     for (name_a, name_b, _rep), record in histories.items():
         views = []
@@ -185,18 +178,17 @@ def cooperation_rates(histories, player: str) -> CooperationReport:
             views.append((record.actions_a, record.actions_b))
         if name_b == player:
             views.append((record.actions_b, record.actions_a))
-        for own, opp in views:
+        for own_text, opp_text in views:
             found = True
-            for k in range(1, len(own)):
-                label = own[k - 1].name + opp[k - 1].name
-                tallies[label][0] += 1
-                tallies[label][1] += int(own[k] is Action.C)
+            own = np.frombuffer(own_text.encode("ascii"), np.uint8) - ord("C")
+            opp = np.frombuffer(opp_text.encode("ascii"), np.uint8) - ord("C")
+            tallies += np.bincount(4 * own[:-1] + 2 * opp[:-1] + own[1:], minlength=8)
     if not found:
         raise ValueError(f"player {player!r} appears in none of the given histories")
     contexts = {
-        label: ContextStats(count, coops)
-        for label, (count, coops) in tallies.items()
-        if count > 0
+        label: ContextStats(int(next_c + next_d), int(next_c))
+        for label, (next_c, next_d) in zip(CONTEXTS, tallies.reshape(4, 2))
+        if next_c + next_d > 0
     }
     return CooperationReport(player=player, contexts=contexts)
 
@@ -228,9 +220,8 @@ def render_history_dump(result: TournamentResult) -> str:
         if "|" in name_a or "|" in name_b:
             raise ValueError("strategy names in a history dump cannot contain '|'")
         lines.append(
-            f"{name_a}|{name_b}|{rep}|{actions_to_string(record.actions_a)}|"
-            f"{actions_to_string(record.actions_b)}|{_format_payoff(record.payoff_a)}|"
-            f"{_format_payoff(record.payoff_b)}"
+            f"{name_a}|{name_b}|{rep}|{record.actions_a}|{record.actions_b}|"
+            f"{_format_payoff(record.payoff_a)}|{_format_payoff(record.payoff_b)}"
         )
     return "\n".join(lines) + "\n"
 
@@ -258,19 +249,23 @@ def read_history_dump(path) -> dict:
                     f"fields, got {len(parts)}"
                 )
             name_a, name_b, rep_str, acts_a, acts_b, pay_a, pay_b = parts
+            for acts in (acts_a, acts_b):
+                if acts.strip("CD"):
+                    raise ValueError(
+                        f"{path}: line {line_number}: expected C/D action text, got {acts!r}"
+                    )
             try:
-                record = MatchRecord(
-                    actions_a=actions_from_string(acts_a),
-                    actions_b=actions_from_string(acts_b),
-                    payoff_a=float(pay_a),
-                    payoff_b=float(pay_b),
-                )
+                record = MatchRecord(acts_a, acts_b, float(pay_a), float(pay_b))
                 key = (name_a, name_b, int(rep_str))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_number}: {exc}") from None
-            if len(record.actions_a) != len(record.actions_b):
+            if len(acts_a) != len(acts_b):
                 raise ValueError(
                     f"{path}: line {line_number}: action strings differ in length"
+                )
+            if key in histories:
+                raise ValueError(
+                    f"{path}: line {line_number}: duplicate match {name_a}|{name_b}|{rep_str}"
                 )
             histories[key] = record
     return histories

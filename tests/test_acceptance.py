@@ -91,7 +91,7 @@ def test_criterion_04_defect_streak_against_defector_with_quarter_comebacks():
         default_registry().get("Defector").make(),
         MatchConfig(turns=21, noise=0.0, seed=0),
     )
-    emitted = "".join(a.name for a in record.actions_a)
+    emitted = record.actions_a
     assert emitted == "CDDDD" * 4 + "C"
     report = cooperation_rates({("EvolvedFSM6", "Defector", 0): record}, "EvolvedFSM6")
     assert report.contexts["DD"].rate == 0.25

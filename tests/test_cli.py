@@ -6,7 +6,9 @@ import sys
 from dataclasses import replace
 from importlib import resources
 
+import ipdlab
 from ipdlab.cli import main
+from ipdlab.evolution import read_generation_log, render_generation_line
 from ipdlab.fsm import serialize_fsm
 from ipdlab.strategies import CLASSIC_FSMS
 
@@ -88,7 +90,10 @@ class TestTournamentCommand:
         native = tmp_path / "native.csv"
         assert main([*args, "--out", str(native)]) == 0
         forced = tmp_path / "forced.csv"
-        env = dict(os.environ, IPDLAB_BACKEND="numpy")
+        # the child must import the same ipdlab as this process
+        package_root = os.path.dirname(os.path.dirname(ipdlab.__file__))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, IPDLAB_BACKEND="numpy", PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-c", "from ipdlab.cli import entry; entry()",
              *args, "--out", str(forced)],
@@ -229,6 +234,12 @@ class TestRatesCommand:
         hist.write_text("A|B|0|CC|DD|2|10\n")
         assert main(["rates", "--in", str(hist), "--player", "Zed"]) == 2
 
+    def test_repeated_match_is_data_error(self, tmp_path, capsys):
+        hist = tmp_path / "hist.txt"
+        hist.write_text("A|B|0|CC|DD|0|10\nA|B|0|CC|CC|6|6\n")
+        assert main(["rates", "--in", str(hist), "--player", "A"]) == 2
+        assert f"{hist}: line 2: duplicate match A|B|0" in capsys.readouterr().err
+
 
 class TestEvolveCommand:
     ARGS = ["evolve", "--generations", "3", "--num-states", "4",
@@ -274,6 +285,22 @@ class TestEvolveCommand:
         assert main([*self.ARGS, "--log", str(log), "--resume"]) == 0
         assert "nothing to do" in capsys.readouterr().out
         assert log.read_bytes() == before
+
+    def test_resume_drops_a_torn_last_line(self, tmp_path, capsys):
+        # a kill in the middle of a write leaves the last line unfinished
+        log = tmp_path / "gen.log"
+        args = [*self.ARGS]
+        args[args.index("--generations") + 1] = "6"
+        assert main([*args, "--log", str(log)]) == 0
+        log.write_bytes(log.read_bytes()[:-20])
+
+        args[args.index("--generations") + 1] = "8"
+        assert main([*args, "--log", str(log), "--resume"]) == 0
+        text = log.read_text()
+        assert text.endswith("\n")
+        records = read_generation_log(log)
+        assert [r.index for r in records] == list(range(9))
+        assert [render_generation_line(r) for r in records] == text.splitlines()
 
     def test_resume_without_log_is_data_error(self, capsys):
         assert main([*self.ARGS, "--resume"]) == 2

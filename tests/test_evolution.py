@@ -21,6 +21,7 @@ from ipdlab import (
     validate_fsm,
 )
 from ipdlab.evolution import _pad_genome, genome_key, render_generation_line
+from ipdlab.fsm import serialize_fsm_line
 from ipdlab.rng import SplitMix64
 from ipdlab.strategies import CLASSIC_FSMS
 
@@ -264,6 +265,24 @@ class TestGenerationLog:
         path.write_text("0,1.0,1.0,not a machine\n")
         with pytest.raises(ValueError, match="line 1"):
             read_generation_log(path)
+
+    def test_broken_statement_names_line_and_statement(self, tmp_path, e8):
+        # statement 7 of line 2 lost its arrow; the message must give the
+        # log line and the statement, each once
+        good = serialize_fsm_line(CLASSIC_FSMS["TitForTat"])
+        statements = serialize_fsm_line(e8).split(";")
+        statements[6] = "3 C"
+        path = tmp_path / "gen.log"
+        path.write_text(f"0,1.0,1.0,{good}\n1,1.0,1.0,{';'.join(statements)}\n"
+                        f"2,1.0,1.0,{good}\n")
+        with pytest.raises(ValueError) as err:
+            read_generation_log(path)
+        prefix = f"{path}: "
+        assert str(err.value).startswith(prefix)
+        message = str(err.value)[len(prefix):]
+        assert message.startswith("line 2: statement 7: expected ")
+        assert message.endswith("got '3 C'")
+        assert message.count("line") == 1
 
     def test_reader_rejects_empty_log(self, tmp_path):
         path = tmp_path / "gen.log"

@@ -14,7 +14,7 @@ from ipdlab import (
     play_match,
     trace_match,
 )
-from ipdlab.game import actions_from_string, actions_to_string, score_actions
+from ipdlab.game import match_records, score_actions
 from ipdlab.strategies import Strategy
 
 from conftest import fsm_specs
@@ -34,9 +34,11 @@ class TestAction:
             Action.from_token("x")
 
     def test_string_round_trip(self):
+        # a record spells each recorded action by its token
         actions = (Action.C, Action.D, Action.D, Action.C)
-        assert actions_to_string(actions) == "CDDC"
-        assert actions_from_string("CDDC") == actions
+        record = match_records([actions], [actions[::-1]])[0]
+        assert (record.actions_a, record.actions_b) == ("CDDC", "CDDC")
+        assert tuple(Action.from_token(ch) for ch in record.actions_a) == actions
 
 
 class TestPayoffMatrix:
@@ -108,8 +110,8 @@ def _play(name_a, name_b, **kwargs):
 class TestPlayMatch:
     def test_titfortat_punishes_defector(self):
         record = _play("TitForTat", "Defector", turns=5)
-        assert actions_to_string(record.actions_a) == "CDDDD"
-        assert actions_to_string(record.actions_b) == "DDDDD"
+        assert record.actions_a == "CDDDD"
+        assert record.actions_b == "DDDDD"
         assert record.payoff_a == 4.0
         assert record.payoff_b == 9.0
 
@@ -119,9 +121,9 @@ class TestPlayMatch:
 
     def test_payoffs_equal_recomputed_totals(self):
         record = _play("WinStayLoseShift", "Alternator", turns=20)
-        assert (record.payoff_a, record.payoff_b) == score_actions(
-            record.actions_a, record.actions_b
-        )
+        codes_a = [Action.from_token(ch) for ch in record.actions_a]
+        codes_b = [Action.from_token(ch) for ch in record.actions_b]
+        assert (record.payoff_a, record.payoff_b) == score_actions(codes_a, codes_b)
 
     def test_deterministic_given_config(self):
         one = _play("Random", "TitForTat", turns=30, seed=99)
@@ -140,8 +142,8 @@ class TestPlayMatch:
 
     def test_full_noise_flips_everything(self):
         record = _play("Cooperator", "Cooperator", turns=8, noise=1.0, seed=4)
-        assert actions_to_string(record.actions_a) == "D" * 8
-        assert actions_to_string(record.actions_b) == "D" * 8
+        assert record.actions_a == "D" * 8
+        assert record.actions_b == "D" * 8
 
     def test_noise_changes_with_seed(self):
         one = _play("Cooperator", "Cooperator", turns=50, noise=0.2, seed=10)
@@ -154,15 +156,15 @@ class TestPlayMatch:
         # gets flipped back to C by the same noise.  Everyone ends up
         # recorded as C from turn 2 on except TitForTat's first reply.
         record = _play("TitForTat", "Cooperator", turns=6, noise=1.0, seed=0)
-        assert actions_to_string(record.actions_b) == "DDDDDD"
-        assert actions_to_string(record.actions_a) == "DCCCCC"
+        assert record.actions_b == "DDDDDD"
+        assert record.actions_a == "DCCCCC"
 
     def test_strategy_without_program_is_refused(self):
         cfg = MatchConfig(turns=4)
         with pytest.raises(ValueError, match="'NoProgram'.*trace_match"):
             play_match(builtin_strategy("Defector")(), _NoProgram(), cfg)
         trace = trace_match(builtin_strategy("Defector")(), _NoProgram(), cfg)
-        assert actions_to_string(trace.record.actions_b) == "CDDD"
+        assert trace.record.actions_b == "CDDD"
 
 
 class TestTraceMatch:

@@ -1,8 +1,11 @@
 """Round-robin tournament scoring, ranking, profiling, and dump files."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ipdlab import (
+    MatchRecord,
     TournamentConfig,
     cooperation_rates,
     median_ranking,
@@ -168,6 +171,37 @@ class TestCooperationRates:
             cooperation_rates(result.histories, "Mystery")
 
 
+_records = st.integers(min_value=1, max_value=40).flatmap(
+    lambda n: st.tuples(
+        st.sampled_from(("a", "b", "self")),
+        st.text(alphabet="CD", min_size=n, max_size=n),
+        st.text(alphabet="CD", min_size=n, max_size=n),
+    )
+)
+
+
+@given(matches=st.lists(_records, min_size=1, max_size=4))
+def test_cooperation_rates_match_a_per_turn_count(matches):
+    """Each turn after the first is one sample of the context before it."""
+    histories = {}
+    expected = {}
+    for rep, (seat, own, opp) in enumerate(matches):
+        if seat == "b":
+            histories[("Q", "P", rep)] = MatchRecord(opp, own, 0.0, 0.0)
+        else:
+            other = "P" if seat == "self" else "Q"
+            histories[("P", other, rep)] = MatchRecord(own, opp, 0.0, 0.0)
+        views = [(own, opp), (opp, own)] if seat == "self" else [(own, opp)]
+        for mine, theirs in views:
+            for k in range(1, len(mine)):
+                label = mine[k - 1] + theirs[k - 1]
+                count, coops = expected.get(label, (0, 0))
+                expected[label] = (count + 1, coops + (mine[k] == "C"))
+    report = cooperation_rates(histories, "P")
+    got = {label: (s.count, s.cooperations) for label, s in report.contexts.items()}
+    assert got == expected
+
+
 def test_evolved_six_state_sustains_cooperation_with_titfortat():
     result = _run(["EvolvedFSM6", "TitForTat"], turns=50, repetitions=2)
     assert result.scores["EvolvedFSM6"] == [3.0, 3.0]
@@ -210,6 +244,21 @@ class TestHistoryDump:
         path.write_text("A|B|0|CX|CC|6|6\n")
         with pytest.raises(ValueError, match="line 1"):
             read_history_dump(path)
+
+    @pytest.mark.parametrize("text", ["CXD", "cc", "C D", "CDC "])
+    def test_reader_names_the_bad_action_text(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"A|B|0|CCC|DDD|0|15\nA|B|1|DDD|{text}|6|6\n")
+        with pytest.raises(ValueError) as err:
+            read_history_dump(path)
+        assert str(err.value) == f"{path}: line 2: expected C/D action text, got {text!r}"
+
+    def test_reader_rejects_a_repeated_match(self, tmp_path):
+        path = tmp_path / "dup.txt"
+        path.write_text("A|B|0|CC|DD|0|10\nA|B|1|CC|CC|6|6\nA|B|0|DD|DD|2|2\n")
+        with pytest.raises(ValueError) as err:
+            read_history_dump(path)
+        assert str(err.value) == f"{path}: line 3: duplicate match A|B|0"
 
     def test_reader_rejects_uneven_action_strings(self, tmp_path):
         path = tmp_path / "bad.txt"
