@@ -21,7 +21,7 @@ import statistics
 from dataclasses import dataclass, replace
 
 from . import kernels
-from .fsm import FsmSpec, parse_fsm_line, serialize_fsm, serialize_fsm_line, validate_fsm
+from .fsm import FsmSpec, parse_fsm_line, read_lines, serialize_fsm, serialize_fsm_line, validate_fsm
 from .game import Action, score_actions
 from .rng import SplitMix64, derive_seed
 from .strategies import default_registry
@@ -286,29 +286,33 @@ def render_generation_line(record: GenerationRecord) -> str:
 
 
 def read_generation_log(path) -> list:
+    """Parse a generation log; each index must be the previous one plus 1."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_number, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",", 3)
-            if len(parts) != 4:
-                raise ValueError(
-                    f"{path}: line {line_number}: expected "
-                    "'generation,best,mean,fsm'"
-                )
-            try:
-                records.append(
-                    GenerationRecord(
-                        index=int(parts[0]),
-                        best_fitness=float(parts[1]),
-                        mean_fitness=float(parts[2]),
-                        best_genome=parse_fsm_line(parts[3]),
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_number}: {exc}") from None
+    for line_number, raw in enumerate(read_lines(path), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",", 3)
+        if len(parts) != 4:
+            raise ValueError(
+                f"{path}: line {line_number}: expected "
+                "'generation,best,mean,fsm'"
+            )
+        try:
+            record = GenerationRecord(
+                index=int(parts[0]),
+                best_fitness=float(parts[1]),
+                mean_fitness=float(parts[2]),
+                best_genome=parse_fsm_line(parts[3]),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_number}: {exc}") from None
+        if records and record.index != records[-1].index + 1:
+            raise ValueError(
+                f"{path}: line {line_number}: expected generation "
+                f"{records[-1].index + 1}, got {record.index}"
+            )
+        records.append(record)
     if not records:
         raise ValueError(f"{path}: no generation records found")
     return records

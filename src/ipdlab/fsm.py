@@ -360,7 +360,30 @@ def parse_fsm_line(text: str) -> FsmSpec:
         raise FsmParseError(exc.message, exc.line_number, "statement") from None
 
 
+def read_lines(path):
+    """Yield a UTF-8 text file's lines, each ending in '\\n' as text mode reads it.
+
+    A byte that is not UTF-8 raises ValueError naming the file and line.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError:
+        # bytes.splitlines breaks where text mode does, and no UTF-8
+        # sequence spans a newline, so one line holds the first bad byte.
+        with open(path, "rb") as fh:
+            raw_lines = fh.read().splitlines()
+        for line_number, raw in enumerate(raw_lines, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(
+                    f"{path}: line {line_number}: byte 0x{raw[exc.start]:02x} "
+                    "is not UTF-8 text"
+                ) from None
+        raise
+
+
 def load_fsm_file(path) -> FsmSpec:
     """Parse a machine from a file on disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_fsm(fh.read())
+    return parse_fsm("".join(read_lines(path)))

@@ -1,49 +1,29 @@
-"""Compiled match kernels with a vectorized numpy fallback.
+"""Vectorized match kernel.
 
 Strategies that reduce to a lookup table (every built-in does) get
 flattened into a `Program` and replayed here instead of through the
-per-turn Python loop in `game._play_generic`.  Two implementations:
-
-* numba: one @njit scalar loop, run serially over a batch of matches.
-* numpy: the same loop vectorized across the batch, one turn at a time.
-
-Both replicate the SplitMix64 streams from `rng.py` exactly (stream A,
-stream B, noise stream, in that per-turn draw order), so the three ways
-of playing a match agree bit for bit.  Pick the path with the
-IPDLAB_BACKEND environment variable ("numba" or "numpy"); when it is
-unset, numba is used if it imports, numpy otherwise.
+per-turn Python loop in `game._play_generic`.  One numpy loop plays a
+whole batch of matches, one turn at a time, and must agree bit for bit
+with `game._play_generic`: it replicates the SplitMix64 streams from
+`rng.py` exactly (stream A, stream B, noise stream, in that per-turn
+draw order).
 
 The tricky parity detail: stochastic strategies draw exactly one double
-per turn and deterministic ones draw nothing, so the numpy path computes
+per turn and deterministic ones draw nothing, so the kernel computes
 candidate draws for whole arrays but only commits advanced stream state
 on the stochastic rows.
 """
-
-import os
 
 import numpy as np
 
 from .rng import DOUBLE_UNIT, GOLDEN, MASK64, MIX1, MIX2
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
 KIND_FSM = 0
 KIND_RANDOM = 1
 
-# uint64 copies of the rng constants; inside @njit everything must stay
-# unsigned or numba silently promotes mixed arithmetic to float64.
+# uint64 copies of the rng constants; under numpy's promotion rules a
+# uint64 mixed with a signed integer becomes float64 (and a shift is
+# refused), so every operand of the stream arithmetic stays unsigned.
 _UG = np.uint64(GOLDEN)
 _M1 = np.uint64(MIX1)
 _M2 = np.uint64(MIX2)
@@ -56,27 +36,9 @@ _TAG2 = np.uint64((2 * GOLDEN) & MASK64)
 _TAG3 = np.uint64((3 * GOLDEN) & MASK64)
 
 
-def _pick_backend() -> str:
-    requested = os.environ.get("IPDLAB_BACKEND", "").strip().lower()
-    if requested not in ("", "numba", "numpy"):
-        raise RuntimeError(
-            f"IPDLAB_BACKEND must be 'numba' or 'numpy', got {requested!r}"
-        )
-    if requested == "numpy":
-        return "numpy"
-    if requested == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("IPDLAB_BACKEND=numba but numba is not importable")
-        return "numba"
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-_BACKEND = _pick_backend()
-
-
 def active_backend() -> str:
-    """Which kernel path play_batch uses when none is forced."""
-    return _BACKEND
+    """Name of the match kernel, printed in every run's header."""
+    return "numpy"
 
 
 # ── program encoding ─────────────────────────────────────────────────
@@ -144,65 +106,7 @@ def _pack(programs):
     return kind, next_state, emit, start, first, coop_p
 
 
-# ── numba path ───────────────────────────────────────────────────────
-
-
-@njit(cache=True)
-def _mix_u64(z):
-    z = (z ^ (z >> _S30)) * _M1
-    z = (z ^ (z >> _S27)) * _M2
-    return z ^ (z >> _S31)
-
-
-@njit(cache=True)
-def _batch_numba(kind_a, next_a, emit_a, start_a, first_a, p_a,
-                 kind_b, next_b, emit_b, start_b, first_b, p_b,
-                 turns, noise, seeds, out_a, out_b):
-    for m in range(seeds.shape[0]):
-        seed = seeds[m]
-        sa = _mix_u64(seed + _TAG1)
-        sb = _mix_u64(seed + _TAG2)
-        sn = _mix_u64(seed + _TAG3)
-        cur_a = start_a[m]
-        cur_b = start_b[m]
-        prev_a = np.int64(0)
-        prev_b = np.int64(0)
-        for t in range(turns):
-            if kind_a[m] == KIND_RANDOM:
-                sa = sa + _UG
-                u = np.float64(_mix_u64(sa) >> _S11) * DOUBLE_UNIT
-                act_a = np.int64(0) if u < p_a[m] else np.int64(1)
-            elif t == 0:
-                act_a = np.int64(first_a[m])
-            else:
-                act_a = np.int64(emit_a[m, cur_a, prev_b])
-                cur_a = next_a[m, cur_a, prev_b]
-
-            if kind_b[m] == KIND_RANDOM:
-                sb = sb + _UG
-                u = np.float64(_mix_u64(sb) >> _S11) * DOUBLE_UNIT
-                act_b = np.int64(0) if u < p_b[m] else np.int64(1)
-            elif t == 0:
-                act_b = np.int64(first_b[m])
-            else:
-                act_b = np.int64(emit_b[m, cur_b, prev_a])
-                cur_b = next_b[m, cur_b, prev_a]
-
-            if noise > 0.0:
-                sn = sn + _UG
-                if np.float64(_mix_u64(sn) >> _S11) * DOUBLE_UNIT < noise:
-                    act_a = act_a ^ 1
-                sn = sn + _UG
-                if np.float64(_mix_u64(sn) >> _S11) * DOUBLE_UNIT < noise:
-                    act_b = act_b ^ 1
-
-            out_a[m, t] = act_a
-            out_b[m, t] = act_b
-            prev_a = act_a
-            prev_b = act_b
-
-
-# ── numpy path ───────────────────────────────────────────────────────
+# ── kernel ───────────────────────────────────────────────────────────
 
 
 def _mix_np(z):
@@ -282,7 +186,7 @@ def _batch_numpy(kind_a, next_a, emit_a, start_a, first_a, p_a,
 # ── dispatch ─────────────────────────────────────────────────────────
 
 
-def play_batch(progs_a, progs_b, turns, noise, seeds, backend=None):
+def play_batch(progs_a, progs_b, turns, noise, seeds):
     """Play len(seeds) matches that share turns and noise level.
 
     progs_a[i] meets progs_b[i] under seeds[i].  Returns two int8
@@ -290,11 +194,6 @@ def play_batch(progs_a, progs_b, turns, noise, seeds, backend=None):
     """
     if not (len(progs_a) == len(progs_b) == len(seeds)):
         raise ValueError("progs_a, progs_b and seeds must have equal length")
-    name = backend if backend is not None else _BACKEND
-    if name == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
 
     seed_arr = np.asarray(list(seeds), dtype=np.uint64)
     count = seed_arr.shape[0]
@@ -303,12 +202,11 @@ def play_batch(progs_a, progs_b, turns, noise, seeds, backend=None):
     if count == 0:
         return out_a, out_b
     args = _pack(progs_a) + _pack(progs_b)
-    impl = _batch_numba if name == "numba" else _batch_numpy
-    impl(*args, turns, float(noise), seed_arr, out_a, out_b)
+    _batch_numpy(*args, turns, float(noise), seed_arr, out_a, out_b)
     return out_a, out_b
 
 
-def play_one(prog_a, prog_b, turns, noise, seed, backend=None):
+def play_one(prog_a, prog_b, turns, noise, seed):
     """Single-match convenience wrapper around play_batch."""
-    out_a, out_b = play_batch([prog_a], [prog_b], turns, noise, [seed], backend=backend)
+    out_a, out_b = play_batch([prog_a], [prog_b], turns, noise, [seed])
     return out_a[0], out_b[0]

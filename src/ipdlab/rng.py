@@ -2,9 +2,9 @@
 
 Everything stochastic in this package flows through SplitMix64 streams
 whose initial states are derived from user-visible integer seeds.  The
-same generator is reimplemented inside the match kernels (numba and
-numpy flavours), so the exact update and output mixing here is a
-contract: change one copy and replays stop being bit-identical.
+same generator is reimplemented, vectorized, inside the numpy match
+kernel, so the exact update and output mixing here is a contract:
+change one copy and replays stop being bit-identical.
 """
 
 import hashlib

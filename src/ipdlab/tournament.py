@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .fsm import read_lines
 from .game import MatchRecord, match_records
 from .rng import derive_seed
 from .strategies import default_registry
@@ -237,35 +238,34 @@ def write_history_dump(result: TournamentResult, destination) -> int:
 def read_history_dump(path) -> dict:
     """Parse a history dump back into the histories mapping shape."""
     histories = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_number, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("|")
-            if len(parts) != 7:
+    for line_number, raw in enumerate(read_lines(path), start=1):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("|")
+        if len(parts) != 7:
+            raise ValueError(
+                f"{path}: line {line_number}: expected 7 pipe-separated "
+                f"fields, got {len(parts)}"
+            )
+        name_a, name_b, rep_str, acts_a, acts_b, pay_a, pay_b = parts
+        for acts in (acts_a, acts_b):
+            if not acts or acts.strip("CD"):
                 raise ValueError(
-                    f"{path}: line {line_number}: expected 7 pipe-separated "
-                    f"fields, got {len(parts)}"
+                    f"{path}: line {line_number}: expected C/D action text, got {acts!r}"
                 )
-            name_a, name_b, rep_str, acts_a, acts_b, pay_a, pay_b = parts
-            for acts in (acts_a, acts_b):
-                if acts.strip("CD"):
-                    raise ValueError(
-                        f"{path}: line {line_number}: expected C/D action text, got {acts!r}"
-                    )
-            try:
-                record = MatchRecord(acts_a, acts_b, float(pay_a), float(pay_b))
-                key = (name_a, name_b, int(rep_str))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_number}: {exc}") from None
-            if len(acts_a) != len(acts_b):
-                raise ValueError(
-                    f"{path}: line {line_number}: action strings differ in length"
-                )
-            if key in histories:
-                raise ValueError(
-                    f"{path}: line {line_number}: duplicate match {name_a}|{name_b}|{rep_str}"
-                )
-            histories[key] = record
+        try:
+            record = MatchRecord(acts_a, acts_b, float(pay_a), float(pay_b))
+            key = (name_a, name_b, int(rep_str))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_number}: {exc}") from None
+        if len(acts_a) != len(acts_b):
+            raise ValueError(
+                f"{path}: line {line_number}: action strings differ in length"
+            )
+        if key in histories:
+            raise ValueError(
+                f"{path}: line {line_number}: duplicate match {name_a}|{name_b}|{rep_str}"
+            )
+        histories[key] = record
     return histories

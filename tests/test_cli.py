@@ -6,6 +6,8 @@ import sys
 from dataclasses import replace
 from importlib import resources
 
+import pytest
+
 import ipdlab
 from ipdlab.cli import main
 from ipdlab.evolution import read_generation_log, render_generation_line
@@ -85,23 +87,30 @@ class TestTournamentCommand:
         assert "Homebrew" in out  # machines keep their declared name
 
     def test_numpy_backend_subprocess_matches(self, tmp_path):
-        args = ["tournament", "--roster", "Random,EvolvedFSM6,Grudger",
-                "--turns", "25", "--reps", "2", "--noise", "0.1", "--seed", "3"]
-        native = tmp_path / "native.csv"
-        assert main([*args, "--out", str(native)]) == 0
-        forced = tmp_path / "forced.csv"
-        # the child must import the same ipdlab as this process
-        package_root = os.path.dirname(os.path.dirname(ipdlab.__file__))
-        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, IPDLAB_BACKEND="numpy", PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-c", "from ipdlab.cli import entry; entry()",
-             *args, "--out", str(forced)],
-            env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "# backend = numpy" in proc.stdout
-        assert forced.read_bytes() == native.read_bytes()
+        _assert_child_run_matches(tmp_path, {})
+
+    def test_stale_backend_variable_is_ignored(self, tmp_path):
+        _assert_child_run_matches(tmp_path, {"IPDLAB_BACKEND": "numba"})
+
+
+def _assert_child_run_matches(tmp_path, extra_env):
+    """`python -m ipdlab.cli tournament` writes what main() writes in process."""
+    args = ["tournament", "--roster", "Random,EvolvedFSM6,Grudger",
+            "--turns", "25", "--reps", "2", "--noise", "0.1", "--seed", "3"]
+    native = tmp_path / "native.csv"
+    assert main([*args, "--out", str(native)]) == 0
+    forced = tmp_path / "forced.csv"
+    # the child must import the same ipdlab as this process
+    package_root = os.path.dirname(os.path.dirname(ipdlab.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **extra_env)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ipdlab.cli", *args, "--out", str(forced)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "# backend = numpy" in proc.stdout
+    assert forced.read_bytes() == native.read_bytes()
 
 
 class TestExitCodes:
@@ -123,6 +132,20 @@ class TestExitCodes:
     def test_unknown_strategy_is_data_error(self, capsys):
         assert main(["tournament", "--roster", "Cooperator,Nobody"]) == 2
         assert "Nobody" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        "prune --in {path} --out {path}.out",
+        "rates --in {path} --player A",
+        "evolve --generations 1 --log {path} --resume",
+    ], ids=["fsm", "history_dump", "generation_log"])
+    def test_input_that_is_not_utf8_names_file_and_line(self, tmp_path, capsys, command):
+        path = tmp_path / "input.txt"
+        # every reader skips blank lines; the bad byte lies past the
+        # first read chunk, after CRLF line ends
+        path.write_bytes(b"\r\n" * 5000 + b"bad \xff line\n")
+        assert main(command.format(path=path).split()) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 5001: byte 0xff is not UTF-8 text\n")
 
     def test_missing_fsm_file_is_data_error(self, tmp_path, capsys):
         assert main(["prune", "--in", str(tmp_path / "gone.fsm"),
@@ -301,6 +324,18 @@ class TestEvolveCommand:
         records = read_generation_log(log)
         assert [r.index for r in records] == list(range(9))
         assert [render_generation_line(r) for r in records] == text.splitlines()
+
+    def test_resume_refuses_a_log_with_a_gap(self, tmp_path, capsys):
+        log = tmp_path / "gen.log"
+        assert main([*self.ARGS, "--log", str(log)]) == 0
+        lines = log.read_text().splitlines(keepends=True)
+        log.write_text("".join(lines[:1] + lines[2:]))  # generation 1 is gone
+        before = log.read_bytes()
+        capsys.readouterr()
+        assert main([*self.ARGS, "--log", str(log), "--resume"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {log}: line 2: expected generation 1, got 2\n")
+        assert log.read_bytes() == before
 
     def test_resume_without_log_is_data_error(self, capsys):
         assert main([*self.ARGS, "--resume"]) == 2

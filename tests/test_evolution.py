@@ -284,6 +284,16 @@ class TestGenerationLog:
         assert message.endswith("got '3 C'")
         assert message.count("line") == 1
 
+    @pytest.mark.parametrize("indices, got", [([0, 0, 1], 0), ([0, 2, 3], 2)],
+                             ids=["duplicate", "gap"])
+    def test_reader_requires_consecutive_indices(self, tmp_path, indices, got):
+        genome = serialize_fsm_line(CLASSIC_FSMS["TitForTat"])
+        path = tmp_path / "gen.log"
+        path.write_text("".join(f"{i},1.0,1.0,{genome}\n" for i in indices))
+        with pytest.raises(ValueError) as err:
+            read_generation_log(path)
+        assert str(err.value) == f"{path}: line 2: expected generation 1, got {got}"
+
     def test_reader_rejects_empty_log(self, tmp_path):
         path = tmp_path / "gen.log"
         path.write_text("\n\n")

@@ -1,4 +1,4 @@
-"""Kernel parity: numba, numpy, and the generic interpreter must agree."""
+"""Kernel parity: the numpy kernel and the generic interpreter must agree."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from ipdlab import MatchConfig, default_registry, roster_default
 from ipdlab.game import _play_generic
 from ipdlab.kernels import (
-    HAS_NUMBA,
     active_backend,
     fsm_program,
     play_batch,
@@ -14,8 +13,6 @@ from ipdlab.kernels import (
     random_program,
 )
 from ipdlab.rng import derive_seed
-
-BACKENDS = ["numpy"] + (["numba"] if HAS_NUMBA else [])
 
 
 @pytest.fixture(scope="module")
@@ -47,20 +44,13 @@ class TestThreeWayParity:
         progs_b = [b.program for _, b, _ in jobs]
         seeds = [seed for _, _, seed in jobs]
 
-        by_backend = {
-            backend: play_batch(progs_a, progs_b, turns, noise, seeds, backend=backend)
-            for backend in BACKENDS
-        }
-        reference = by_backend[BACKENDS[0]]
-        for backend, (out_a, out_b) in by_backend.items():
-            assert np.array_equal(out_a, reference[0]), backend
-            assert np.array_equal(out_b, reference[1]), backend
+        out_a, out_b = play_batch(progs_a, progs_b, turns, noise, seeds)
 
         cfg_proto = dict(turns=turns, noise=noise)
         for row, (a, b, seed) in enumerate(jobs):
             gen_a, gen_b = _generic_actions(a, b, MatchConfig(seed=seed, **cfg_proto))
-            assert np.array_equal(gen_a, reference[0][row]), (a.id.name, b.id.name)
-            assert np.array_equal(gen_b, reference[1][row]), (a.id.name, b.id.name)
+            assert np.array_equal(gen_a, out_a[row]), (a.id.name, b.id.name)
+            assert np.array_equal(gen_b, out_b[row]), (a.id.name, b.id.name)
 
     def test_play_one_is_batch_of_one(self, roster_entries):
         a = roster_entries[8].program  # FirstPrac
@@ -94,12 +84,13 @@ class TestBatchMechanics:
             play_batch([prog], [prog, prog], 10, 0.0, [1, 2])
 
     def test_unknown_backend_rejected(self):
+        # There is one kernel, so there is no backend switch to pass.
         prog = random_program(0.5)
-        with pytest.raises(ValueError, match="unknown backend"):
-            play_batch([prog], [prog], 5, 0.0, [1], backend="fortran")
+        with pytest.raises(TypeError, match="backend"):
+            play_batch([prog], [prog], 5, 0.0, [1], backend="numpy")
 
     def test_active_backend_is_one_of_the_two(self):
-        assert active_backend() in ("numba", "numpy")
+        assert active_backend() == "numpy"
 
 
 class TestStreamDiscipline:

@@ -245,7 +245,7 @@ class TestHistoryDump:
         with pytest.raises(ValueError, match="line 1"):
             read_history_dump(path)
 
-    @pytest.mark.parametrize("text", ["CXD", "cc", "C D", "CDC "])
+    @pytest.mark.parametrize("text", ["CXD", "cc", "C D", "CDC ", ""])
     def test_reader_names_the_bad_action_text(self, tmp_path, text):
         path = tmp_path / "bad.txt"
         path.write_text(f"A|B|0|CCC|DDD|0|15\nA|B|1|DDD|{text}|6|6\n")
