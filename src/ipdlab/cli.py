@@ -36,6 +36,7 @@ from .fsm import (
     load_fsm_file,
     prune_unreachable,
     reachable_states,
+    read_lines,
     serialize_fsm,
     serialize_fsm_line,
     validate_fsm,
@@ -276,6 +277,13 @@ def _cmd_evolve(args) -> CommandOutcome:
             raise ValueError("--resume needs --log to know where the old run lives")
         if os.path.exists(args.log) and _cut_torn_tail(args.log) > 0:
             records = read_generation_log(args.log)
+            if records[0].index != 0:
+                # the reader accepts any start, since evolve() may number from k > 0;
+                # a CLI log always starts at 0, so a later start means lost lines
+                line_number = next(n for n, raw in enumerate(read_lines(args.log), start=1)
+                                   if raw.strip())
+                raise ValueError(f"{args.log}: line {line_number}: expected generation 0, "
+                                 f"got {records[0].index}")
             last = records[-1]
             if last.index >= params.generations:
                 _print_header("evolve", [("resume", args.log)])

@@ -2,7 +2,8 @@
 
 Generation 0 is the user's seed genomes (padded with fresh unreachable
 states up to num_states) plus uniformly random machines to fill the
-population.  Every generation evaluates all genomes, keeps the top
+population.  Every generation evaluates its new genomes in one kernel
+batch (genomes seen before keep their cached fitness), keeps the top
 `bottleneck` untouched, and refills by mutating survivors picked
 uniformly at random.  Long runs are the point, so the generation log
 can stream to disk as it goes and a crashed run resumes from its last
@@ -162,6 +163,42 @@ def genome_key(spec: FsmSpec) -> str:
 # ── fitness ──────────────────────────────────────────────────────────
 
 
+def batch_fitness(specs, params: EvolutionParams, registry=None, keys=None) -> list:
+    """fitness() of every spec in specs, from one kernel batch.
+
+    Each value is a pure function of its genome's content and params,
+    so it depends on neither its position in specs nor its neighbours.
+    keys, when given, holds genome_key(spec) for each spec, sparing its
+    recomputation; a genome's seeds are derived only if one of its
+    matches draws random numbers.
+    """
+    reg = registry if registry is not None else default_registry()
+    opponents = [reg.get(name).program for name in params.opponent_roster]
+    candidates = [kernels.fsm_program(spec) for spec in specs]
+    pairs = [(candidate, opp) for candidate in candidates for opp in opponents]
+    roots = {}
+
+    def seed_of(pair, rep):
+        genome, idx = divmod(pair, len(opponents))
+        if genome not in roots:
+            key = keys[genome] if keys is not None else genome_key(specs[genome])
+            roots[genome] = derive_seed(params.seed, "fitness", key)
+        return derive_seed(roots[genome], "opp", idx, rep)
+
+    acts_a, acts_b, index = kernels.play_pairs(
+        pairs, params.repetitions, params.turns, params.noise, seed_of
+    )
+    # Pairs run genome-major, then opponent-major, so after the gather
+    # each genome's block sums to one total per repetition.  The payoffs
+    # are integers, so the order of summation cannot move a bit.
+    row_totals, _ = score_actions(acts_a, acts_b)
+    totals = row_totals[index].reshape(len(specs), len(opponents), params.repetitions).sum(axis=1)
+
+    denominator = params.turns * len(opponents)
+    return [statistics.fmean(total / denominator for total in genome_totals)
+            for genome_totals in totals]
+
+
 def fitness(spec: FsmSpec, params: EvolutionParams, registry=None) -> float:
     """Mean normalized score of spec against the opponent roster.
 
@@ -169,31 +206,7 @@ def fitness(spec: FsmSpec, params: EvolutionParams, registry=None) -> float:
     for params.turns turns; per repetition its payoff total is divided
     by (turns x opponents), and the repetitions are averaged.
     """
-    reg = registry if registry is not None else default_registry()
-    opponents = [reg.get(name) for name in params.opponent_roster]
-    root = derive_seed(params.seed, "fitness", genome_key(spec))
-    jobs = [
-        (idx, rep)
-        for idx in range(len(opponents))
-        for rep in range(params.repetitions)
-    ]
-    seeds = [derive_seed(root, "opp", idx, rep) for idx, rep in jobs]
-
-    candidate = kernels.fsm_program(spec)
-    acts_a, acts_b = kernels.play_batch(
-        [candidate] * len(jobs),
-        [opponents[idx].program for idx, _ in jobs],
-        params.turns,
-        params.noise,
-        seeds,
-    )
-    # Jobs run opponent-major, so each column holds one repetition.  The
-    # payoffs are integers, so the order of summation cannot move a bit.
-    match_totals, _ = score_actions(acts_a, acts_b)
-    totals = match_totals.reshape(len(opponents), params.repetitions).sum(axis=0)
-
-    denominator = params.turns * len(opponents)
-    return statistics.fmean(total / denominator for total in totals)
+    return batch_fitness([spec], params, registry)[0]
 
 
 # ── the search loop ──────────────────────────────────────────────────
@@ -231,18 +244,15 @@ def evolve(seed_genomes, params: EvolutionParams, registry=None,
 
     cache = {}
 
-    def evaluate(genome):
-        key = genome_key(genome)
-        if key not in cache:
-            cache[key] = fitness(genome, params, reg)
-        return cache[key]
-
     records = []
     best_ever = None
     gen = first_generation_index
     final_gen = first_generation_index + params.generations
     while True:
-        fits = [evaluate(genome) for genome in population]
+        keys = [genome_key(genome) for genome in population]
+        fresh = {key: genome for key, genome in zip(keys, population) if key not in cache}
+        cache.update(zip(fresh, batch_fitness(list(fresh.values()), params, reg, keys=list(fresh))))
+        fits = [cache[key] for key in keys]
         order = sorted(range(len(population)), key=lambda i: (-fits[i], i))
         champion = order[0]
         record = GenerationRecord(

@@ -385,5 +385,10 @@ def read_lines(path):
 
 
 def load_fsm_file(path) -> FsmSpec:
-    """Parse a machine from a file on disk."""
-    return parse_fsm("".join(read_lines(path)))
+    """Parse a machine from a file on disk; an error's message starts with the path."""
+    text = "".join(read_lines(path))
+    try:
+        return parse_fsm(text)
+    except ValueError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise

@@ -87,15 +87,23 @@ def random_program(p: float) -> Program:
 
 
 def _pack(programs):
-    count = len(programs)
-    width = max(prog.next_state.shape[0] for prog in programs)
+    """Padded arrays of the distinct program objects, plus the slot of each entry.
+
+    A batch repeats a few program objects over many rows, so each is
+    encoded once; the kernel reads row i's program at slot[i].
+    """
+    distinct = list({id(prog): prog for prog in programs}.values())
+    position = {id(prog): i for i, prog in enumerate(distinct)}
+    slot = np.fromiter((position[id(prog)] for prog in programs), np.int64, len(programs))
+    count = len(distinct)
+    width = max(prog.next_state.shape[0] for prog in distinct)
     kind = np.zeros(count, dtype=np.int8)
     next_state = np.zeros((count, width, 2), dtype=np.int64)
     emit = np.zeros((count, width, 2), dtype=np.int8)
     start = np.zeros(count, dtype=np.int64)
     first = np.zeros(count, dtype=np.int8)
     coop_p = np.zeros(count, dtype=np.float64)
-    for i, prog in enumerate(programs):
+    for i, prog in enumerate(distinct):
         n = prog.next_state.shape[0]
         kind[i] = prog.kind
         next_state[i, :n] = prog.next_state
@@ -103,7 +111,7 @@ def _pack(programs):
         start[i] = prog.start
         first[i] = prog.first
         coop_p[i] = prog.p
-    return kind, next_state, emit, start, first, coop_p
+    return kind, next_state, emit, start, first, coop_p, slot
 
 
 # ── kernel ───────────────────────────────────────────────────────────
@@ -119,22 +127,23 @@ def _doubles_np(z):
     return (z >> _S11).astype(np.float64) * DOUBLE_UNIT
 
 
-def _batch_numpy(kind_a, next_a, emit_a, start_a, first_a, p_a,
-                 kind_b, next_b, emit_b, start_b, first_b, p_b,
+def _batch_numpy(kind_a, next_a, emit_a, start_a, first_a, p_a, slot_a,
+                 kind_b, next_b, emit_b, start_b, first_b, p_b, slot_b,
                  turns, noise, seeds, out_a, out_b):
     m = seeds.shape[0]
-    rows = np.arange(m)
     sa = _mix_np(seeds + _TAG1)
     sb = _mix_np(seeds + _TAG2)
     sn = _mix_np(seeds + _TAG3)
-    stoch_a = kind_a == KIND_RANDOM
-    stoch_b = kind_b == KIND_RANDOM
+    stoch_a = kind_a[slot_a] == KIND_RANDOM
+    stoch_b = kind_b[slot_b] == KIND_RANDOM
     det_a = ~stoch_a
     det_b = ~stoch_b
-    cur_a = start_a.copy()
-    cur_b = start_b.copy()
-    first_a64 = first_a.astype(np.int64)
-    first_b64 = first_b.astype(np.int64)
+    p_a = p_a[slot_a]
+    p_b = p_b[slot_b]
+    cur_a = start_a[slot_a]
+    cur_b = start_b[slot_b]
+    first_a64 = first_a[slot_a].astype(np.int64)
+    first_b64 = first_b[slot_b].astype(np.int64)
     prev_a = np.zeros(m, dtype=np.int64)
     prev_b = np.zeros(m, dtype=np.int64)
     act_a = np.zeros(m, dtype=np.int64)
@@ -151,8 +160,8 @@ def _batch_numpy(kind_a, next_a, emit_a, start_a, first_a, p_a,
         if t == 0:
             act_a = np.where(det_a, first_a64, act_a)
         else:
-            stepped = emit_a[rows, cur_a, prev_b].astype(np.int64)
-            landed = next_a[rows, cur_a, prev_b]
+            stepped = emit_a[slot_a, cur_a, prev_b].astype(np.int64)
+            landed = next_a[slot_a, cur_a, prev_b]
             act_a = np.where(det_a, stepped, act_a)
             cur_a = np.where(det_a, landed, cur_a)
 
@@ -164,8 +173,8 @@ def _batch_numpy(kind_a, next_a, emit_a, start_a, first_a, p_a,
         if t == 0:
             act_b = np.where(det_b, first_b64, act_b)
         else:
-            stepped = emit_b[rows, cur_b, prev_a].astype(np.int64)
-            landed = next_b[rows, cur_b, prev_a]
+            stepped = emit_b[slot_b, cur_b, prev_a].astype(np.int64)
+            landed = next_b[slot_b, cur_b, prev_a]
             act_b = np.where(det_b, stepped, act_b)
             cur_b = np.where(det_b, landed, cur_b)
 
@@ -204,6 +213,34 @@ def play_batch(progs_a, progs_b, turns, noise, seeds):
     args = _pack(progs_a) + _pack(progs_b)
     _batch_numpy(*args, turns, float(noise), seed_arr, out_a, out_b)
     return out_a, out_b
+
+
+def play_pairs(pairs, repetitions, turns, noise, seed_of):
+    """Play `repetitions` matches of every (prog_a, prog_b) pair in one batch.
+
+    A match between two machines at noise 0 draws no random numbers, so
+    its repetitions all replay one result: such a pair gets one played
+    row, and seed_of is never called for it.  Every other pair gets one
+    row per repetition, seeded by seed_of(pair index, rep).
+
+    Returns (acts_a, acts_b, index): the played blocks, as play_batch
+    gives them, and an int array of shape (len(pairs), repetitions)
+    holding the row that plays each (pair, rep).
+    """
+    progs_a, progs_b, seeds, index = [], [], [], []
+    for pair, (prog_a, prog_b) in enumerate(pairs):
+        first_row = len(seeds)
+        if noise == 0 and prog_a.kind == KIND_FSM and prog_b.kind == KIND_FSM:
+            index.append([first_row] * repetitions)
+            seeds.append(0)
+        else:
+            index.append(range(first_row, first_row + repetitions))
+            seeds.extend(seed_of(pair, rep) for rep in range(repetitions))
+        played = len(seeds) - first_row
+        progs_a.extend([prog_a] * played)
+        progs_b.extend([prog_b] * played)
+    acts_a, acts_b = play_batch(progs_a, progs_b, turns, noise, seeds)
+    return acts_a, acts_b, np.array(index, dtype=np.int64).reshape(len(pairs), repetitions)
 
 
 def play_one(prog_a, prog_b, turns, noise, seed):

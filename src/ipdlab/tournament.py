@@ -4,7 +4,9 @@ A tournament plays every unordered pair of roster entries for a number
 of repetitions.  Each match gets its own seed derived from the master
 seed, the two canonical strategy names in sorted order, and the
 repetition index, which makes results independent of roster order and
-bit-identical across reruns.
+bit-identical across reruns.  A pair of machines at noise 0 draws no
+random numbers, so it is played once and its record serves every
+repetition.
 
 Scores are normalized per repetition: a player's payoff total divided
 by (turns x matches played that repetition), so values live on the
@@ -86,18 +88,19 @@ def run_tournament(config: TournamentConfig, registry=None) -> TournamentResult:
             pairs.append((a, b))
     pairs.sort()
 
-    jobs = []  # (name_a, name_b, rep, seed)
-    for name_a, name_b in pairs:
-        for rep in range(config.repetitions):
-            seed = derive_seed(config.master_seed, "match", name_a, name_b, rep)
-            jobs.append((name_a, name_b, rep, seed))
+    def seed_of(pair, rep):
+        return derive_seed(config.master_seed, "match", *pairs[pair], rep)
 
-    progs_a = [by_name[a].program for a, _, _, _ in jobs]
-    progs_b = [by_name[b].program for _, b, _, _ in jobs]
-    seeds = [seed for _, _, _, seed in jobs]
-    raw_a, raw_b = kernels.play_batch(progs_a, progs_b, config.turns, config.noise, seeds)
+    raw_a, raw_b, index = kernels.play_pairs(
+        [(by_name[a].program, by_name[b].program) for a, b in pairs],
+        config.repetitions, config.turns, config.noise, seed_of,
+    )
     records = match_records(raw_a, raw_b)
-    histories = {(a, b, rep): record for (a, b, rep, _), record in zip(jobs, records)}
+    histories = {
+        (name_a, name_b, rep): records[row]
+        for (name_a, name_b), rows in zip(pairs, index.tolist())
+        for rep, row in enumerate(rows)
+    }
 
     scores = {name: [] for name in names}
     for rep in range(config.repetitions):

@@ -158,6 +158,22 @@ class TestExitCodes:
         assert main(["prune", "--in", str(bad), "--out", str(tmp_path / "o.fsm")]) == 2
         assert "dangling" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        "prune --in {path} --out {path}.out",
+        "evolve --generations 1 --roster TitForTat --seed-fsm {path}",
+        "tournament --roster @{path},TitForTat",
+    ], ids=["prune", "evolve_seed_fsm", "tournament_roster"])
+    @pytest.mark.parametrize("text, message", [
+        ("fsm Bad\nstart 1 C\n1 C -> 1 Q\n1 D -> 1 D\n", "line 3: expected C or D, got 'Q'"),
+        ("fsm Bad\nstart 1 C\n1 C -> 2 C\n1 D -> 1 D\n", "dangling target 1/C->2"),
+    ], ids=["parse", "validation"])
+    def test_bad_fsm_file_error_names_the_file(self, tmp_path, capsys, command, text, message):
+        path = _write_fsm(tmp_path, "bad", text)
+        assert main(command.format(path=path).split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert message in err
+
     def test_bad_config_value_is_data_error(self, capsys):
         assert main(["tournament", "--roster", "Cooperator,Defector", "--turns", "0"]) == 2
 
@@ -335,6 +351,19 @@ class TestEvolveCommand:
         assert main([*self.ARGS, "--log", str(log), "--resume"]) == 2
         assert capsys.readouterr().err == (
             f"error: {log}: line 2: expected generation 1, got 2\n")
+        assert log.read_bytes() == before
+
+    def test_resume_refuses_a_log_without_generation_0(self, tmp_path, capsys):
+        log = tmp_path / "gen.log"
+        assert main([*self.ARGS, "--log", str(log)]) == 0
+        log.write_text("".join(log.read_text().splitlines(keepends=True)[1:]))
+        before = log.read_bytes()
+        capsys.readouterr()
+        args = [*self.ARGS]
+        args[args.index("--generations") + 1] = "5"
+        assert main([*args, "--log", str(log), "--resume"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {log}: line 1: expected generation 0, got 1\n")
         assert log.read_bytes() == before
 
     def test_resume_without_log_is_data_error(self, capsys):

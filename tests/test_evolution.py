@@ -20,7 +20,7 @@ from ipdlab import (
     roster_default,
     validate_fsm,
 )
-from ipdlab.evolution import _pad_genome, genome_key, render_generation_line
+from ipdlab.evolution import _pad_genome, batch_fitness, genome_key, render_generation_line
 from ipdlab.fsm import serialize_fsm_line
 from ipdlab.rng import SplitMix64
 from ipdlab.strategies import CLASSIC_FSMS
@@ -171,6 +171,31 @@ class TestFitness:
     def test_full_roster_value_is_on_payoff_scale(self, e6):
         value = fitness(e6, EvolutionParams(generations=0, turns=20, repetitions=3))
         assert 0.0 <= value <= 5.0
+
+
+class TestBatchFitness:
+    """One kernel batch for many genomes gives each genome its own fitness."""
+
+    @given(
+        genomes=st.lists(fsm_specs(max_states=5), min_size=1, max_size=5),
+        noise=st.sampled_from((0.0, 0.05)),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_one_fitness_call_per_genome(self, genomes, noise, seed):
+        params = _params(opponent_roster=("Random", "TitForTat", "EvolvedFSM6"),
+                         turns=12, repetitions=3, noise=noise, seed=seed)
+        expected = [fitness(genome, params) for genome in genomes]
+        assert batch_fitness(genomes, params) == expected
+        # a duplicate and a reversed order: neither position nor neighbours count
+        doubled = genomes + genomes[:1]
+        assert batch_fitness(doubled, params) == expected + expected[:1]
+        assert batch_fitness(genomes[::-1], params) == expected[::-1]
+        keys = [genome_key(genome) for genome in genomes]
+        assert batch_fitness(genomes, params, keys=keys) == expected
+
+    def test_empty_batch(self):
+        assert batch_fitness([], _params()) == []
 
 
 class TestEvolve:

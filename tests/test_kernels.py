@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipdlab import MatchConfig, default_registry, roster_default
 from ipdlab.game import _play_generic
@@ -10,9 +12,12 @@ from ipdlab.kernels import (
     fsm_program,
     play_batch,
     play_one,
+    play_pairs,
     random_program,
 )
 from ipdlab.rng import derive_seed
+
+from conftest import fsm_specs
 
 
 @pytest.fixture(scope="module")
@@ -121,3 +126,50 @@ class TestStreamDiscipline:
         # intended all-C; every recorded D is a noise flip
         flips = int(noisy_a.sum())
         assert 20 < flips < 80  # ~50 expected at q=0.25
+
+
+# A side of a drawn pair: a machine, or a coin that cooperates with probability p.
+_sides = st.one_of(fsm_specs(max_states=5).map(fsm_program),
+                   st.sampled_from((0.0, 0.5, 0.9)).map(random_program))
+
+
+def _seed_of(pair, rep):
+    return derive_seed(3, "pair", pair, rep)
+
+
+class TestPlayPairs:
+    """The planner plays each distinct match once and maps every repetition to it."""
+
+    @given(
+        pairs=st.lists(st.tuples(_sides, _sides), min_size=1, max_size=6),
+        repetitions=st.integers(1, 4),
+        turns=st.integers(1, 25),
+        noise=st.sampled_from((0.0, 0.05)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_the_fully_expanded_batch(self, pairs, repetitions, turns, noise):
+        acts_a, acts_b, index = play_pairs(pairs, repetitions, turns, noise, _seed_of)
+        jobs = [(pair, rep) for pair in range(len(pairs)) for rep in range(repetitions)]
+        full_a, full_b = play_batch(
+            [pairs[pair][0] for pair, _ in jobs], [pairs[pair][1] for pair, _ in jobs],
+            turns, noise, [_seed_of(pair, rep) for pair, rep in jobs],
+        )
+        assert index.shape == (len(pairs), repetitions)
+        assert np.array_equal(acts_a[index.ravel()], full_a)
+        assert np.array_equal(acts_b[index.ravel()], full_b)
+
+    def test_seeds_are_drawn_only_for_matches_that_use_them(self, e6):
+        machine = fsm_program(e6)
+        coin = random_program(0.5)
+        pairs = [(machine, machine), (machine, coin), (coin, machine), (coin, coin)]
+        for noise, seeded_pairs in ((0.0, [1, 2, 3]), (0.05, [0, 1, 2, 3])):
+            calls = []
+
+            def seed_of(pair, rep):
+                calls.append((pair, rep))
+                return _seed_of(pair, rep)
+
+            acts_a, _, index = play_pairs(pairs, 5, 10, noise, seed_of)
+            assert calls == [(pair, rep) for pair in seeded_pairs for rep in range(5)]
+            assert acts_a.shape == (len(calls) + (noise == 0), 10)
+            assert len(set(index.ravel().tolist())) == acts_a.shape[0]

@@ -1,9 +1,10 @@
-"""Byte-exact tournament artifacts of a small roster, pinned by sha256.
+"""Byte-exact tournament and evolve artifacts of a small roster, pinned by sha256.
 
 The roster mixes the coin-flipping Random with three machines, so the
 pins cover the stochastic path, the noise stream and the deterministic
-kernel path.  Any change to match records, scoring, the history dump or
-the cooperation report that moves a single byte fails here.
+kernel path.  Any change to match records, scoring, the history dump,
+the cooperation report, fitness or the generation log that moves a
+single byte fails here.
 """
 
 import hashlib
@@ -64,3 +65,30 @@ def test_rates_output_is_pinned(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "# matches = 6\n" in out
     assert out.split("# matches = 6\n", 1)[1] == RATES_EVOLVEDFSM8_NOISE_005
+
+
+EVOLVE_PINNED = {
+    "0": {
+        "gen.log": "166b4e1d02336b7c9327982f3dac89f621bf92345f7d6bdffff5841b807716a5",
+        "best.fsm": "df5785ad6b8218ad810e1c3aeed5ace3dbc5b1d0f1a69b46507bcfcdcd6dbb28",
+    },
+    "0.05": {
+        "gen.log": "0298474fab140cb67805531da06b862f74640a70b9b33e62f56ee6579a7446c1",
+        "best.fsm": "7987b3dd8564ea510cf1c76e91aaf56f4777694bdc62c1917e3fee130dd54294",
+    },
+}
+
+
+@pytest.mark.parametrize("noise", sorted(EVOLVE_PINNED))
+def test_evolve_artifacts_are_pinned(tmp_path, capsys, noise):
+    paths = {name: tmp_path / name for name in EVOLVE_PINNED[noise]}
+    assert main([
+        "evolve", "--generations", "5", "--population-size", "12", "--bottleneck", "3",
+        "--num-states", "4", "--turns", "15", "--repetitions", "3", "--roster", ROSTER,
+        "--noise", noise, "--seed", "0",
+        "--log", str(paths["gen.log"]), "--out", str(paths["best.fsm"]),
+    ]) == 0
+    capsys.readouterr()
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in paths.items()}
+    assert digests == EVOLVE_PINNED[noise]
