@@ -25,8 +25,10 @@ from dataclasses import dataclass, replace
 
 from .evolution import (
     EvolutionParams,
+    complete_log_size,
     evolve,
     generation_deltas,
+    read_complete_lines,
     read_generation_log,
     render_generation_line,
 )
@@ -36,7 +38,6 @@ from .fsm import (
     load_fsm_file,
     prune_unreachable,
     reachable_states,
-    read_lines,
     serialize_fsm,
     serialize_fsm_line,
     validate_fsm,
@@ -163,17 +164,6 @@ def _atomic_write_all(staged):
     return tuple(path for path, _ in staged)
 
 
-def _cut_torn_tail(path) -> int:
-    """Cut a log back to its last newline, dropping a line a kill left unfinished.
-
-    Returns the size that remains.
-    """
-    with open(path, "rb+") as fh:
-        size = fh.read().rfind(b"\n") + 1
-        fh.truncate(size)
-    return size
-
-
 def _resolve_roster(roster_arg: str, registry):
     """Expand a --roster value into (registry, canonical name list)."""
     reg = registry
@@ -275,13 +265,14 @@ def _cmd_evolve(args) -> CommandOutcome:
     if args.resume:
         if not args.log:
             raise ValueError("--resume needs --log to know where the old run lives")
-        if os.path.exists(args.log) and _cut_torn_tail(args.log) > 0:
+        complete = complete_log_size(args.log) if os.path.exists(args.log) else 0
+        if complete > 0:
             records = read_generation_log(args.log)
             if records[0].index != 0:
                 # the reader accepts any start, since evolve() may number from k > 0;
                 # a CLI log always starts at 0, so a later start means lost lines
-                line_number = next(n for n, raw in enumerate(read_lines(args.log), start=1)
-                                   if raw.strip())
+                lines = read_complete_lines(args.log)
+                line_number = next(n for n, raw in enumerate(lines, start=1) if raw.strip())
                 raise ValueError(f"{args.log}: line {line_number}: expected generation 0, "
                                  f"got {records[0].index}")
             last = records[-1]
@@ -289,6 +280,9 @@ def _cmd_evolve(args) -> CommandOutcome:
                 _print_header("evolve", [("resume", args.log)])
                 print(f"# log already reaches generation {last.index}; nothing to do")
                 return CommandOutcome(0)
+            # the complete lines are valid and resume appends: only now cut the torn tail
+            with open(args.log, "rb+") as fh:
+                fh.truncate(complete)
             seeds = [last.best_genome]
             first_index = last.index + 1
             params = replace(params, generations=params.generations - first_index)

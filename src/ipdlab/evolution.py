@@ -22,7 +22,7 @@ import statistics
 from dataclasses import dataclass, replace
 
 from . import kernels
-from .fsm import FsmSpec, parse_fsm_line, read_lines, serialize_fsm, serialize_fsm_line, validate_fsm
+from .fsm import FsmSpec, decode_lines, parse_fsm_line, serialize_fsm, serialize_fsm_line, validate_fsm
 from .game import Action, score_actions
 from .rng import SplitMix64, derive_seed
 from .strategies import default_registry
@@ -295,10 +295,30 @@ def render_generation_line(record: GenerationRecord) -> str:
     )
 
 
+def complete_log_size(path) -> int:
+    """Bytes up to a log's last line end, '\\n' or '\\r' as text mode reads.
+
+    A kill during a write can leave an unfinished line after them.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+
+
+def read_complete_lines(path) -> list:
+    """A log's lines up to complete_log_size, leaving out an unfinished last line."""
+    with open(path, "rb") as fh:
+        return decode_lines(path, fh.read(complete_log_size(path)))
+
+
 def read_generation_log(path) -> list:
-    """Parse a generation log; each index must be the previous one plus 1."""
+    """Parse a generation log; each index must be the previous one plus 1.
+
+    An unfinished last line, which a kill during a write leaves behind,
+    is not read.
+    """
     records = []
-    for line_number, raw in enumerate(read_lines(path), start=1):
+    for line_number, raw in enumerate(read_complete_lines(path), start=1):
         line = raw.strip()
         if not line:
             continue

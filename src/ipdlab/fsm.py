@@ -20,6 +20,7 @@ emits states in ascending order with the C row before the D row, single
 spaces between tokens, and a trailing newline.
 """
 
+import io
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Mapping
@@ -360,6 +361,21 @@ def parse_fsm_line(text: str) -> FsmSpec:
         raise FsmParseError(exc.message, exc.line_number, "statement") from None
 
 
+def _not_utf8(path, data: bytes) -> ValueError:
+    """The error naming the file and line of data's first byte that is not UTF-8."""
+    # bytes.splitlines breaks where text mode does, and no UTF-8
+    # sequence spans a newline, so one line holds the first bad byte.
+    for line_number, raw in enumerate(data.splitlines(), start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return ValueError(
+                f"{path}: line {line_number}: byte 0x{raw[exc.start]:02x} "
+                "is not UTF-8 text"
+            )
+    raise AssertionError("undecodable bytes with every line decodable")
+
+
 def read_lines(path):
     """Yield a UTF-8 text file's lines, each ending in '\\n' as text mode reads it.
 
@@ -369,19 +385,16 @@ def read_lines(path):
         with open(path, "r", encoding="utf-8") as fh:
             yield from fh
     except UnicodeDecodeError:
-        # bytes.splitlines breaks where text mode does, and no UTF-8
-        # sequence spans a newline, so one line holds the first bad byte.
         with open(path, "rb") as fh:
-            raw_lines = fh.read().splitlines()
-        for line_number, raw in enumerate(raw_lines, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(
-                    f"{path}: line {line_number}: byte 0x{raw[exc.start]:02x} "
-                    "is not UTF-8 text"
-                ) from None
-        raise
+            raise _not_utf8(path, fh.read()) from None
+
+
+def decode_lines(path, data: bytes) -> list:
+    """data, read from path, split into lines as read_lines splits the file."""
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None).readlines()
+    except UnicodeDecodeError:
+        raise _not_utf8(path, data) from None
 
 
 def load_fsm_file(path) -> FsmSpec:

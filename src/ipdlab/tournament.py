@@ -14,6 +14,7 @@ payoff scale of a single turn.  Ranking is by median normalized score
 across repetitions, ties broken by roster position.
 """
 
+import math
 import statistics
 from dataclasses import dataclass
 
@@ -26,6 +27,8 @@ from .rng import derive_seed
 from .strategies import default_registry
 
 CONTEXTS = ("CC", "CD", "DC", "DD")
+
+_DROP_CD = str.maketrans("", "", "CD")  # str.translate table that deletes C and D
 
 
 @dataclass(frozen=True)
@@ -171,24 +174,26 @@ def cooperation_rates(histories, player: str) -> CooperationReport:
     histories is the (name_a, name_b, rep) -> MatchRecord mapping that
     TournamentResult carries (the history-dump reader produces the same
     shape).  Turn k >= 2 contributes one sample to the context formed by
-    turn k-1's recorded actions.
+    turn k-1's recorded actions, so a context never spans two matches.
+    A self-match is seen from both seats.
     """
-    # tallies[4 * own_prev + 2 * opp_prev + own_next], action codes C = 0, D = 1
-    tallies = np.zeros(8, dtype=np.int64)
-    found = False
+    own_texts, opp_texts = [], []
     for (name_a, name_b, _rep), record in histories.items():
-        views = []
         if name_a == player:
-            views.append((record.actions_a, record.actions_b))
+            own_texts.append(record.actions_a)
+            opp_texts.append(record.actions_b)
         if name_b == player:
-            views.append((record.actions_b, record.actions_a))
-        for own_text, opp_text in views:
-            found = True
-            own = np.frombuffer(own_text.encode("ascii"), np.uint8) - ord("C")
-            opp = np.frombuffer(opp_text.encode("ascii"), np.uint8) - ord("C")
-            tallies += np.bincount(4 * own[:-1] + 2 * opp[:-1] + own[1:], minlength=8)
-    if not found:
+            own_texts.append(record.actions_b)
+            opp_texts.append(record.actions_a)
+    if not own_texts:
         raise ValueError(f"player {player!r} appears in none of the given histories")
+    # All views end to end with an X between two matches: C = 0, D = 1, X = 21.
+    own = np.frombuffer("X".join(own_texts).encode("ascii"), np.uint8) - ord("C")
+    opp = np.frombuffer("X".join(opp_texts).encode("ascii"), np.uint8) - ord("C")
+    # Bin 4 * own_prev + 2 * opp_prev + own_next is 0-7 for two turns of one
+    # match; two positions that touch an X span two matches and land in 21-147.
+    codes = 4 * own[:-1] + 2 * opp[:-1] + own[1:]
+    tallies = np.bincount(codes, minlength=8)[:8]
     contexts = {
         label: ContextStats(int(next_c + next_d), int(next_c))
         for label, (next_c, next_d) in zip(CONTEXTS, tallies.reshape(4, 2))
@@ -239,7 +244,14 @@ def write_history_dump(result: TournamentResult, destination) -> int:
 
 
 def read_history_dump(path) -> dict:
-    """Parse a history dump back into the histories mapping shape."""
+    """Parse a history dump back into the histories mapping shape.
+
+    Refuses, naming the file and line, what render_history_dump never
+    writes: a wrong field count, action text that is empty, holds a letter
+    other than C and D or differs in length between the seats, a
+    repetition that is not plain digits, a payoff that is not a finite
+    number, and a match named twice.
+    """
     histories = {}
     for line_number, raw in enumerate(read_lines(path), start=1):
         line = raw.rstrip("\n")
@@ -253,22 +265,32 @@ def read_history_dump(path) -> dict:
             )
         name_a, name_b, rep_str, acts_a, acts_b, pay_a, pay_b = parts
         for acts in (acts_a, acts_b):
-            if not acts or acts.strip("CD"):
+            if not acts or acts.translate(_DROP_CD):
                 raise ValueError(
                     f"{path}: line {line_number}: expected C/D action text, got {acts!r}"
                 )
+        if not (rep_str.isascii() and rep_str.isdigit()):
+            raise ValueError(
+                f"{path}: line {line_number}: expected a repetition of digits 0-9, "
+                f"got {rep_str!r}"
+            )
         try:
-            record = MatchRecord(acts_a, acts_b, float(pay_a), float(pay_b))
-            key = (name_a, name_b, int(rep_str))
+            payoff_a, payoff_b = float(pay_a), float(pay_b)
         except ValueError as exc:
             raise ValueError(f"{path}: line {line_number}: {exc}") from None
+        if not (math.isfinite(payoff_a) and math.isfinite(payoff_b)):
+            bad = pay_b if math.isfinite(payoff_a) else pay_a
+            raise ValueError(
+                f"{path}: line {line_number}: expected a finite payoff, got {bad!r}"
+            )
         if len(acts_a) != len(acts_b):
             raise ValueError(
                 f"{path}: line {line_number}: action strings differ in length"
             )
+        key = (name_a, name_b, int(rep_str))
         if key in histories:
             raise ValueError(
                 f"{path}: line {line_number}: duplicate match {name_a}|{name_b}|{rep_str}"
             )
-        histories[key] = record
+        histories[key] = MatchRecord(acts_a, acts_b, payoff_a, payoff_b)
     return histories

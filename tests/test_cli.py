@@ -279,6 +279,19 @@ class TestRatesCommand:
         assert main(["rates", "--in", str(hist), "--player", "A"]) == 2
         assert f"{hist}: line 2: duplicate match A|B|0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("A|B|0|CC|DD|nan|inf", "expected a finite payoff, got 'nan'"),
+        ("A|B|-1|CC|DD|0|10", "expected a repetition of digits 0-9, got '-1'"),
+        ("A|B|1_0|CC|DD|0|10", "expected a repetition of digits 0-9, got '1_0'"),
+        ("A|B| 2 |CC|DD|0|10", "expected a repetition of digits 0-9, got ' 2 '"),
+    ], ids=["nan_inf", "negative", "underscore", "spaces"])
+    def test_number_the_writer_never_writes_is_data_error(self, tmp_path, capsys,
+                                                          line, message):
+        hist = tmp_path / "hist.txt"
+        hist.write_text(f"A|B|5|CC|CC|6|6\n{line}\n")
+        assert main(["rates", "--in", str(hist), "--player", "A"]) == 2
+        assert capsys.readouterr().err == f"error: {hist}: line 2: {message}\n"
+
 
 class TestEvolveCommand:
     ARGS = ["evolve", "--generations", "3", "--num-states", "4",
@@ -341,6 +354,22 @@ class TestEvolveCommand:
         assert [r.index for r in records] == list(range(9))
         assert [render_generation_line(r) for r in records] == text.splitlines()
 
+    def test_resume_drops_a_torn_line_cut_inside_a_character(self, tmp_path, capsys):
+        # a seed machine's name may be non-ASCII, and the kill may cut it
+        seed = _write_fsm(tmp_path, "seed",
+                          serialize_fsm(replace(CLASSIC_FSMS["TitForTat"], name="Tït")))
+        log = tmp_path / "gen.log"
+        args = [*self.ARGS, "--seed-fsm", str(seed), "--log", str(log)]
+        assert main(args) == 0
+        data = log.read_bytes()
+        log.write_bytes(data[:data.rindex(b"\xc3") + 1])
+
+        args[args.index("--generations") + 1] = "5"
+        assert main([*args, "--resume"]) == 0
+        records = read_generation_log(log)
+        assert [r.index for r in records] == list(range(6))
+        assert [render_generation_line(r) for r in records] == log.read_text().splitlines()
+
     def test_resume_refuses_a_log_with_a_gap(self, tmp_path, capsys):
         log = tmp_path / "gen.log"
         assert main([*self.ARGS, "--log", str(log)]) == 0
@@ -364,6 +393,41 @@ class TestEvolveCommand:
         assert main([*args, "--log", str(log), "--resume"]) == 2
         assert capsys.readouterr().err == (
             f"error: {log}: line 1: expected generation 0, got 1\n")
+        assert log.read_bytes() == before
+
+    def test_refused_resume_keeps_a_torn_last_line(self, tmp_path, capsys):
+        # the torn tail is cut only once resume goes on to append
+        log = tmp_path / "gen.log"
+        assert main([*self.ARGS, "--log", str(log)]) == 0
+        log.write_bytes(b"".join(log.read_bytes().splitlines(keepends=True)[1:])[:-20])
+        before = log.read_bytes()
+        capsys.readouterr()
+        args = [*self.ARGS]
+        args[args.index("--generations") + 1] = "5"
+        assert main([*args, "--log", str(log), "--resume"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {log}: line 1: expected generation 0, got 1\n")
+        assert log.read_bytes() == before
+
+    def test_resume_keeps_a_line_whose_crlf_lost_its_lf(self, tmp_path, capsys):
+        # text mode ends that line at the CR, so it is complete, not torn
+        log = tmp_path / "gen.log"
+        assert main([*self.ARGS, "--log", str(log)]) == 0
+        log.write_bytes(log.read_bytes().replace(b"\n", b"\r\n")[:-1])
+        args = [*self.ARGS]
+        args[args.index("--generations") + 1] = "5"
+        assert main([*args, "--log", str(log), "--resume"]) == 0
+        assert [r.index for r in read_generation_log(log)] == list(range(6))
+
+    def test_finished_resume_keeps_a_torn_last_line(self, tmp_path, capsys):
+        log = tmp_path / "gen.log"
+        assert main([*self.ARGS, "--log", str(log)]) == 0
+        log.write_bytes(log.read_bytes()[:-20])
+        before = log.read_bytes()
+        args = [*self.ARGS]
+        args[args.index("--generations") + 1] = "2"
+        assert main([*args, "--log", str(log), "--resume"]) == 0
+        assert "nothing to do" in capsys.readouterr().out
         assert log.read_bytes() == before
 
     def test_resume_without_log_is_data_error(self, capsys):

@@ -325,6 +325,28 @@ class TestGenerationLog:
         with pytest.raises(ValueError, match="no generation records"):
             read_generation_log(path)
 
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_reader_skips_a_torn_last_line(self, tmp_path, ending):
+        genome = serialize_fsm_line(CLASSIC_FSMS["TitForTat"])
+        path = tmp_path / "gen.log"
+        path.write_bytes(f"0,1.0,1.0,{genome}{ending}1,1.0,1.0,{genome[:9]}".encode())
+        assert [r.index for r in read_generation_log(path)] == [0]
+
+    def test_reader_skips_a_torn_last_line_cut_inside_a_character(self, tmp_path):
+        # a kill can cut a multi-byte name; the unfinished line is not decoded
+        genome = serialize_fsm_line(replace(CLASSIC_FSMS["TitForTat"], name="Tït"))
+        line = f"0,1.0,1.0,{genome}\n".encode()
+        path = tmp_path / "gen.log"
+        path.write_bytes(line + line.replace(b"0,", b"1,", 1)[:line.index(b"\xc3") + 1])
+        assert [r.best_genome.name for r in read_generation_log(path)] == ["Tït"]
+
+    def test_reader_names_a_bad_byte_in_a_complete_line(self, tmp_path):
+        genome = serialize_fsm_line(CLASSIC_FSMS["TitForTat"]).encode()
+        path = tmp_path / "gen.log"
+        path.write_bytes(b"0,1.0,1.0," + genome + b"\r\n1,1.0,1.0,\xff" + genome + b"\n")
+        with pytest.raises(ValueError, match="line 2: byte 0xff is not UTF-8 text"):
+            read_generation_log(path)
+
 
 class TestGenerationDeltas:
     @staticmethod

@@ -1,10 +1,11 @@
-"""Byte-exact tournament and evolve artifacts of a small roster, pinned by sha256.
+"""Byte-exact tournament, profile and evolve artifacts, pinned by sha256.
 
-The roster mixes the coin-flipping Random with three machines, so the
-pins cover the stochastic path, the noise stream and the deterministic
-kernel path.  Any change to match records, scoring, the history dump,
-the cooperation report, fitness or the generation log that moves a
-single byte fails here.
+The small roster mixes the coin-flipping Random with three machines, so
+the pins cover the stochastic path, the noise stream and the
+deterministic kernel path; the default roster's noisy profile pins the
+`rates` output of all fifteen players.  Any change to match records,
+scoring, the history dump, the cooperation report, fitness or the
+generation log that moves a single byte fails here.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import hashlib
 import pytest
 
 from ipdlab.cli import main
+from ipdlab.strategies import roster_default
 
 ROSTER = "Random,TitForTat,EvolvedFSM8,Alternator"
 
@@ -92,3 +94,33 @@ def test_evolve_artifacts_are_pinned(tmp_path, capsys, noise):
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                for name, path in paths.items()}
     assert digests == EVOLVE_PINNED[noise]
+
+
+# The default roster at 200 turns x 10 reps and noise 0.05, then `rates`
+# for every player: the ranking CSV, the history dump and the rates stdout
+# without its `#` lines, in roster order.
+NOISY_PROFILE_PINNED = {
+    "ranking.csv": "388d0707e6d45400ae679d4c57d88e7eb0eb7a93ec68c29f288ad3e098c459de",
+    "histories.txt": "99bf2e7a920002e0f241fb0e300674bc30e7fe2261b1d0900dbd736eefd19c40",
+    "rates.txt": "343860a89fd54eed33e28fff8224dfe422de17f21b1f5d9e913f2b3e1dcb926a",
+}
+
+
+def test_default_roster_noisy_profile_is_pinned(tmp_path, capsys):
+    ranking, histories = tmp_path / "ranking.csv", tmp_path / "histories.txt"
+    assert main([
+        "tournament", "--roster", "default", "--turns", "200", "--reps", "10",
+        "--noise", "0.05", "--seed", "0", "--out", str(ranking), "--histories", str(histories),
+    ]) == 0
+    capsys.readouterr()
+    rates = []
+    for sid in roster_default():
+        assert main(["rates", "--in", str(histories), "--player", sid.name]) == 0
+        rates.extend(line for line in capsys.readouterr().out.splitlines(keepends=True)
+                     if not line.startswith("#"))
+    digests = {
+        "ranking.csv": hashlib.sha256(ranking.read_bytes()).hexdigest(),
+        "histories.txt": hashlib.sha256(histories.read_bytes()).hexdigest(),
+        "rates.txt": hashlib.sha256("".join(rates).encode()).hexdigest(),
+    }
+    assert digests == NOISY_PROFILE_PINNED

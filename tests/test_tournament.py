@@ -1,7 +1,7 @@
 """Round-robin tournament scoring, ranking, profiling, and dump files."""
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ipdlab import (
@@ -260,6 +260,26 @@ class TestHistoryDump:
             read_history_dump(path)
         assert str(err.value) == f"{path}: line 3: duplicate match A|B|0"
 
+    @pytest.mark.parametrize("field", [5, 6], ids=["payoff_a", "payoff_b"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "Infinity", "1e999"])
+    def test_reader_refuses_a_payoff_that_is_not_finite(self, tmp_path, field, text):
+        parts = "A|B|1|DDD|CCC|15|0".split("|")
+        parts[field] = text
+        path = tmp_path / "bad.txt"
+        path.write_text("A|B|0|CCC|DDD|0|15\n" + "|".join(parts) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_history_dump(path)
+        assert str(err.value) == f"{path}: line 2: expected a finite payoff, got {text!r}"
+
+    @pytest.mark.parametrize("text", ["-1", "1_0", " 2 ", "+1", "1.0", "", "\u0663", "\u00b2"])
+    def test_reader_refuses_a_repetition_that_is_not_digits(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"A|B|0|CCC|DDD|0|15\nA|B|{text}|DDD|CCC|15|0\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_history_dump(path)
+        assert str(err.value) == (
+            f"{path}: line 2: expected a repetition of digits 0-9, got {text!r}")
+
     def test_reader_rejects_uneven_action_strings(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("A|B|0|CCC|CC|9|9\n")
@@ -270,3 +290,50 @@ class TestHistoryDump:
         path = tmp_path / "h.txt"
         path.write_text("A|B|0|CC|DD|2|10\n\n")
         assert len(read_history_dump(path)) == 1
+
+
+_NOT_A_LETTER = st.characters(exclude_characters="CD|\n\r", exclude_categories=("Cs",))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    turns=st.integers(min_value=1, max_value=30).flatmap(
+        lambda n: st.tuples(st.text("CD", min_size=n, max_size=n),
+                            st.text("CD", min_size=n, max_size=n))),
+    seat=st.sampled_from((3, 4)),
+    where=st.integers(min_value=0),
+    char=_NOT_A_LETTER,
+)
+def test_reader_refuses_any_letter_but_c_and_d(tmp_path, turns, seat, where, char):
+    """One stray character in an action field of line 2 names that field."""
+    acts_a, acts_b = turns
+    path = tmp_path / "h.txt"
+    lines = ["A|B|0|CD|DC|5|5", f"A|B|1|{acts_a}|{acts_b}|7|9"]
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    assert read_history_dump(path) == {
+        ("A", "B", 0): MatchRecord("CD", "DC", 5.0, 5.0),
+        ("A", "B", 1): MatchRecord(acts_a, acts_b, 7.0, 9.0),
+    }
+    parts = lines[1].split("|")
+    text = parts[seat]
+    where %= len(text)
+    parts[seat] = text[:where] + char + text[where + 1:]
+    lines[1] = "|".join(parts)
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    with pytest.raises(ValueError) as err:
+        read_history_dump(path)
+    assert str(err.value) == (
+        f"{path}: line 2: expected C/D action text, got {parts[seat]!r}")
+
+
+def test_reader_refuses_every_other_ascii_character(tmp_path):
+    """Every ASCII character the fields can hold, which random draws may miss."""
+    path = tmp_path / "h.txt"
+    for char in map(chr, range(128)):
+        if char in "CD|\n\r":
+            continue
+        path.write_bytes(f"A|B|0|CD|DC|5|5\nA|B|1|CDC|D{char}D|7|9\n".encode())
+        with pytest.raises(ValueError) as err:
+            read_history_dump(path)
+        assert str(err.value) == (
+            f"{path}: line 2: expected C/D action text, got {'D' + char + 'D'!r}")
