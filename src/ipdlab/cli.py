@@ -15,7 +15,10 @@ Every run prints its resolved configuration as `# key = value` lines so
 an artifact can always be traced back to the flags that made it.
 Result files are written to a temp name and renamed on success; the
 only exception is the evolve --log stream, which is flushed line by
-line so crashed runs can resume from it.
+line so crashed runs can resume from it.  A resume reruns the search
+from generation 0, refuses a logged generation that the rerun does not
+reproduce, and appends the rest.  Two output flags of one command may
+not name the same file.
 """
 
 import argparse
@@ -25,11 +28,10 @@ from dataclasses import dataclass, replace
 
 from .evolution import (
     EvolutionParams,
+    ResumedLog,
     complete_log_size,
     evolve,
     generation_deltas,
-    read_complete_lines,
-    read_generation_log,
     render_generation_line,
 )
 from .fsm import (
@@ -164,6 +166,17 @@ def _atomic_write_all(staged):
     return tuple(path for path, _ in staged)
 
 
+def _refuse_shared_outputs(*outputs):
+    """Refuse (flag, path) outputs of one command that name the same file."""
+    seen = {}
+    for flag, path in outputs:
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise ValueError(f"{seen[real]} and {flag} both name {path}")
+            seen[real] = flag
+
+
 def _resolve_roster(roster_arg: str, registry):
     """Expand a --roster value into (registry, canonical name list)."""
     reg = registry
@@ -201,6 +214,8 @@ def _fmt(value: float) -> str:
 
 
 def _cmd_tournament(args) -> CommandOutcome:
+    _refuse_shared_outputs(("--out", args.out), ("--histories", args.histories),
+                           ("--coop-report", args.coop_report))
     reg, names = _resolve_roster(args.roster, default_registry())
     config = TournamentConfig(
         roster=tuple(names),
@@ -245,6 +260,7 @@ def _cmd_tournament(args) -> CommandOutcome:
 
 
 def _cmd_evolve(args) -> CommandOutcome:
+    _refuse_shared_outputs(("--log", args.log), ("--out", args.out))
     reg, roster_names = _resolve_roster(args.roster, default_registry())
     params = EvolutionParams(
         generations=args.generations,
@@ -260,33 +276,15 @@ def _cmd_evolve(args) -> CommandOutcome:
     )
     seeds = [load_fsm_file(path) for path in args.seed_fsm]
 
-    first_index = 0
-    log_mode = "w"
-    if args.resume:
-        if not args.log:
-            raise ValueError("--resume needs --log to know where the old run lives")
-        complete = complete_log_size(args.log) if os.path.exists(args.log) else 0
-        if complete > 0:
-            records = read_generation_log(args.log)
-            if records[0].index != 0:
-                # the reader accepts any start, since evolve() may number from k > 0;
-                # a CLI log always starts at 0, so a later start means lost lines
-                lines = read_complete_lines(args.log)
-                line_number = next(n for n, raw in enumerate(lines, start=1) if raw.strip())
-                raise ValueError(f"{args.log}: line {line_number}: expected generation 0, "
-                                 f"got {records[0].index}")
-            last = records[-1]
-            if last.index >= params.generations:
-                _print_header("evolve", [("resume", args.log)])
-                print(f"# log already reaches generation {last.index}; nothing to do")
-                return CommandOutcome(0)
-            # the complete lines are valid and resume appends: only now cut the torn tail
-            with open(args.log, "rb+") as fh:
-                fh.truncate(complete)
-            seeds = [last.best_genome]
-            first_index = last.index + 1
-            params = replace(params, generations=params.generations - first_index)
-            log_mode = "a"
+    if args.resume and not args.log:
+        raise ValueError("--resume needs --log to know where the old run lives")
+    log_stream = None
+    if args.resume and os.path.exists(args.log) and complete_log_size(args.log) > 0:
+        log_stream = ResumedLog(args.log)
+        if len(log_stream.logged) > params.generations:
+            _print_header("evolve", [("resume", args.log)])
+            print(f"# log already reaches generation {len(log_stream.logged) - 1}; nothing to do")
+            return CommandOutcome(0)
 
     _print_header("evolve", [
         ("generations", args.generations),
@@ -300,13 +298,13 @@ def _cmd_evolve(args) -> CommandOutcome:
         ("roster", ",".join(params.opponent_roster)),
         ("seed", params.seed),
         ("seed_fsm", ",".join(spec.name for spec in seeds) or "-"),
-        ("first_generation", first_index),
         ("backend", active_backend()),
     ])
 
-    log_stream = open(args.log, log_mode, encoding="utf-8", newline="") if args.log else None
+    if log_stream is None and args.log:
+        log_stream = open(args.log, "w", encoding="utf-8", newline="")
     try:
-        best, records = evolve(seeds, params, reg, log_stream, first_index)
+        best, records = evolve(seeds, params, reg, log_stream)
     finally:
         if log_stream is not None:
             log_stream.close()

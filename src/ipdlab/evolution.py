@@ -6,8 +6,9 @@ population.  Every generation evaluates its new genomes in one kernel
 batch (genomes seen before keep their cached fitness), keeps the top
 `bottleneck` untouched, and refills by mutating survivors picked
 uniformly at random.  Long runs are the point, so the generation log
-can stream to disk as it goes and a crashed run resumes from its last
-logged champion.
+can stream to disk as it goes.  A crashed run resumes by running again
+with a ResumedLog stream, which checks the logged generations and
+appends the rest.
 
 Fitness is a pure function of genome content and params: match seeds
 are derived from a hash of the genome's canonical serialization (name
@@ -18,6 +19,7 @@ be re-rolled into a different score.
 """
 
 import hashlib
+import os
 import statistics
 from dataclasses import dataclass, replace
 
@@ -212,15 +214,12 @@ def fitness(spec: FsmSpec, params: EvolutionParams, registry=None) -> float:
 # ── the search loop ──────────────────────────────────────────────────
 
 
-def evolve(seed_genomes, params: EvolutionParams, registry=None,
-           log_stream=None, first_generation_index=0):
+def evolve(seed_genomes, params: EvolutionParams, registry=None, log_stream=None):
     """Run the search; returns (best-ever genome, list of GenerationRecord).
 
     When log_stream is given, each record is written and flushed as it
-    is produced, so a killed run still leaves a usable log behind.
-    first_generation_index shifts the numbering (and the mutation
-    streams), which is what lets a resumed run append to an old log
-    without reusing generation numbers.
+    is produced, so a killed run still leaves a usable log behind.  The
+    same arguments with a ResumedLog as log_stream resume that run.
     """
     reg = registry if registry is not None else default_registry()
     if len(seed_genomes) > params.population_size:
@@ -246,9 +245,7 @@ def evolve(seed_genomes, params: EvolutionParams, registry=None,
 
     records = []
     best_ever = None
-    gen = first_generation_index
-    final_gen = first_generation_index + params.generations
-    while True:
+    for gen in range(params.generations + 1):
         keys = [genome_key(genome) for genome in population]
         fresh = {key: genome for key, genome in zip(keys, population) if key not in cache}
         cache.update(zip(fresh, batch_fitness(list(fresh.values()), params, reg, keys=list(fresh))))
@@ -268,7 +265,7 @@ def evolve(seed_genomes, params: EvolutionParams, registry=None,
         if best_ever is None or record.best_fitness > best_ever[0]:
             best_ever = (record.best_fitness, record.best_genome)
 
-        if gen == final_gen:
+        if gen == params.generations:
             break
         survivors = [population[i] for i in order[: params.bottleneck]]
         select_rng = SplitMix64(derive_seed(params.seed, "select", gen))
@@ -279,7 +276,6 @@ def evolve(seed_genomes, params: EvolutionParams, registry=None,
             child = mutate_fsm(parent, params.mutation_rate, child_rng)
             children.append(replace(child, name=f"g{gen + 1}c{slot}"))
         population = survivors + children
-        gen += 1
 
     return best_ever[1], records
 
@@ -305,47 +301,68 @@ def complete_log_size(path) -> int:
     return max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
 
 
-def read_complete_lines(path) -> list:
-    """A log's lines up to complete_log_size, leaving out an unfinished last line."""
-    with open(path, "rb") as fh:
-        return decode_lines(path, fh.read(complete_log_size(path)))
-
-
 def read_generation_log(path) -> list:
-    """Parse a generation log; each index must be the previous one plus 1.
+    """Parse a generation log; its indices must run 0, 1, 2, ...
 
     An unfinished last line, which a kill during a write leaves behind,
     is not read.
     """
+    with open(path, "rb") as fh:
+        lines = decode_lines(path, fh.read(complete_log_size(path)))
     records = []
-    for line_number, raw in enumerate(read_complete_lines(path), start=1):
+    for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         parts = line.split(",", 3)
-        if len(parts) != 4:
-            raise ValueError(
-                f"{path}: line {line_number}: expected "
-                "'generation,best,mean,fsm'"
-            )
         try:
-            record = GenerationRecord(
-                index=int(parts[0]),
-                best_fitness=float(parts[1]),
-                mean_fitness=float(parts[2]),
-                best_genome=parse_fsm_line(parts[3]),
-            )
+            if len(parts) != 4:
+                raise ValueError("expected 'generation,best,mean,fsm'")
+            record = GenerationRecord(int(parts[0]), float(parts[1]), float(parts[2]),
+                                      parse_fsm_line(parts[3]))
+            if record.index != len(records):
+                raise ValueError(f"expected generation {len(records)}, got {record.index}")
         except ValueError as exc:
             raise ValueError(f"{path}: line {line_number}: {exc}") from None
-        if records and record.index != records[-1].index + 1:
-            raise ValueError(
-                f"{path}: line {line_number}: expected generation "
-                f"{records[-1].index + 1}, got {record.index}"
-            )
         records.append(record)
     if not records:
         raise ValueError(f"{path}: no generation records found")
     return records
+
+
+class ResumedLog:
+    """evolve()'s log stream when it reruns the run logged at path.
+
+    A generation the log holds must come out as logged, or ValueError
+    names it and the file is left as it was.  The first new line cuts
+    an unfinished last line, and new lines are appended.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.logged = [render_generation_line(r) + "\n" for r in read_generation_log(path)]
+        self._checked = 0
+        self._stream = None
+
+    def write(self, line):
+        if self._checked < len(self.logged):
+            if line != self.logged[self._checked]:
+                raise ValueError(f"{self.path}: generation {self._checked} differs "
+                                 "from a rerun with these flags")
+            self._checked += 1
+            return
+        if self._stream is None:
+            os.truncate(self.path, complete_log_size(self.path))
+            self._stream = open(self.path, "a", encoding="utf-8", newline="")
+        self._stream.write(line)
+
+    def flush(self):
+        if self._stream is not None:
+            self._stream.flush()
+
+    def close(self):
+        if self._stream is not None:
+            self._stream.close()
 
 
 def generation_deltas(log, threshold: float) -> list:

@@ -299,6 +299,18 @@ class TestEvolveCommand:
             "--repetitions", "2", "--roster", "TitForTat,Defector",
             "--seed", "11"]
 
+    @classmethod
+    def _args(cls, **flags):
+        """ARGS with each flag (underscores for dashes) set or added."""
+        args = [*cls.ARGS]
+        for name, value in flags.items():
+            flag = "--" + name.replace("_", "-")
+            if flag in args:
+                args[args.index(flag) + 1] = str(value)
+            else:
+                args += [flag, str(value)]
+        return args
+
     def test_writes_log_and_best_genome(self, tmp_path, capsys):
         log = tmp_path / "gen.log"
         best = tmp_path / "best.fsm"
@@ -430,6 +442,69 @@ class TestEvolveCommand:
         assert "nothing to do" in capsys.readouterr().out
         assert log.read_bytes() == before
 
+    @pytest.mark.parametrize("torn", [False, True], ids=["whole", "torn"])
+    @pytest.mark.parametrize("logged", [0, 2, 4])
+    @pytest.mark.parametrize("noise", ["0", "0.05"])
+    def test_resume_equals_an_uninterrupted_run(self, tmp_path, capsys, noise, logged, torn):
+        straight_log, straight_out = tmp_path / "straight.log", tmp_path / "straight.fsm"
+        assert main([*self._args(generations=5, noise=noise),
+                     "--log", str(straight_log), "--out", str(straight_out)]) == 0
+        # logged generations are complete; a torn run was killed while writing the next one
+        log, out = tmp_path / "gen.log", tmp_path / "best.fsm"
+        assert main([*self._args(generations=logged + torn, noise=noise), "--log", str(log)]) == 0
+        if torn:
+            log.write_bytes(log.read_bytes()[:-20])
+        assert main([*self._args(generations=5, noise=noise),
+                     "--log", str(log), "--out", str(out), "--resume"]) == 0
+        assert log.read_bytes() == straight_log.read_bytes()
+        assert out.read_bytes() == straight_out.read_bytes()
+
+    def test_resume_accepts_flags_the_logged_generations_do_not_depend_on(self, tmp_path, capsys):
+        # generation 0 is scored before any selection, so --bottleneck leaves it alone
+        straight_log, straight_out = tmp_path / "straight.log", tmp_path / "straight.fsm"
+        assert main([*self._args(bottleneck=3),
+                     "--log", str(straight_log), "--out", str(straight_out)]) == 0
+        log, out = tmp_path / "gen.log", tmp_path / "best.fsm"
+        assert main([*self._args(generations=0), "--log", str(log)]) == 0
+        assert main([*self._args(bottleneck=3),
+                     "--log", str(log), "--out", str(out), "--resume"]) == 0
+        assert log.read_bytes() == straight_log.read_bytes()
+        assert out.read_bytes() == straight_out.read_bytes()
+
+    def _assert_resume_refused(self, capsys, log, args, generation):
+        before = log.read_bytes()
+        capsys.readouterr()
+        assert main([*args, "--log", str(log), "--resume"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {log}: generation {generation} differs from a rerun with these flags\n")
+        assert log.read_bytes() == before
+
+    @pytest.mark.parametrize("logged, resumed", [
+        ({}, {"seed": 7, "turns": 50}),
+        ({"seed_fsm": "TitForTat"}, {"seed_fsm": "Defector"}),
+    ], ids=["seed_and_turns", "seed_fsm"])
+    def test_resume_refuses_other_flags(self, tmp_path, capsys, logged, resumed):
+        machines = {name: _write_fsm(tmp_path, name, serialize_fsm(CLASSIC_FSMS[name]))
+                    for name in ("TitForTat", "Defector")}
+        log = tmp_path / "gen.log"
+        logged = {flag: machines.get(value, value) for flag, value in logged.items()}
+        assert main([*self._args(**logged), "--log", str(log)]) == 0
+        log.write_bytes(log.read_bytes()[:-20])
+        resumed = {flag: machines.get(value, value) for flag, value in resumed.items()}
+        self._assert_resume_refused(capsys, log, self._args(generations=5, **resumed), 0)
+
+    @pytest.mark.parametrize("field", ["fitness", "machine"])
+    def test_resume_refuses_an_edited_generation(self, tmp_path, capsys, field):
+        log = tmp_path / "gen.log"
+        assert main([*self.ARGS, "--log", str(log)]) == 0
+        lines = log.read_bytes()[:-20].split(b"\n")
+        # one digit of generation 1: its best fitness, or the target of its first entry
+        at = lines[1].index(b",", 2) - 1 if field == "fitness" else lines[1].index(b"-> ") + 3
+        digit = int(lines[1][at:at + 1])
+        lines[1] = lines[1][:at] + str(digit % 4 + 1).encode() + lines[1][at + 1:]
+        log.write_bytes(b"\n".join(lines))
+        self._assert_resume_refused(capsys, log, self._args(generations=5), 1)
+
     def test_resume_without_log_is_data_error(self, capsys):
         assert main([*self.ARGS, "--resume"]) == 2
         assert "--log" in capsys.readouterr().err
@@ -448,6 +523,31 @@ class TestEvolveCommand:
 
 
 class TestAtomicWrites:
+    @pytest.mark.parametrize("argv, flags, path", [
+        (["tournament", *SMALL, "--out", "x.csv", "--histories", "./x.csv"],
+         "--out and --histories", "./x.csv"),
+        (["tournament", *SMALL, "--out", "y.csv", "--coop-report", "y.csv",
+          "--histories", "z.txt"], "--out and --coop-report", "y.csv"),
+        ([*TestEvolveCommand.ARGS, "--log", "gen.log", "--out", "gen.log"],
+         "--log and --out", "gen.log"),
+    ], ids=["out_histories", "out_coop_report", "log_out"])
+    def test_outputs_naming_one_file_are_refused(self, tmp_path, monkeypatch, capsys,
+                                                 argv, flags, path):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {flags} both name {path}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_resume_with_out_naming_the_log_leaves_it_alone(self, tmp_path, capsys):
+        log = tmp_path / "gen.log"
+        assert main([*TestEvolveCommand.ARGS, "--log", str(log)]) == 0
+        before = log.read_bytes()
+        args = [*TestEvolveCommand.ARGS, "--log", str(log), "--out", str(log), "--resume"]
+        args[args.index("--generations") + 1] = "5"
+        assert main(args) == 2
+        assert "--log and --out" in capsys.readouterr().err
+        assert log.read_bytes() == before
+
     def test_unwritable_destination_is_data_error(self, tmp_path, capsys):
         blocker = tmp_path / "file.txt"
         blocker.write_text("x")

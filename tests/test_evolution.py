@@ -255,14 +255,6 @@ class TestEvolve:
         expected = "".join(render_generation_line(r) + "\n" for r in records)
         assert stream.getvalue() == expected
 
-    def test_first_generation_index_shifts_numbering(self, e6):
-        params = _params(
-            generations=2, population_size=3, bottleneck=1, turns=5,
-            repetitions=1, seed=6,
-        )
-        _, records = evolve([e6], params, first_generation_index=5)
-        assert [r.index for r in records] == [5, 6, 7]
-
 
 class TestGenerationLog:
     def test_round_trip(self, tmp_path, e6, e8):
