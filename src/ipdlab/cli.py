@@ -282,6 +282,7 @@ def _cmd_evolve(args) -> CommandOutcome:
     if args.resume and os.path.exists(args.log) and complete_log_size(args.log) > 0:
         log_stream = ResumedLog(args.log)
         if len(log_stream.logged) > params.generations:
+            evolve(seeds, params, reg, log_stream)  # checks the generations asked for
             _print_header("evolve", [("resume", args.log)])
             print(f"# log already reaches generation {len(log_stream.logged) - 1}; nothing to do")
             return CommandOutcome(0)

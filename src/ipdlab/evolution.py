@@ -21,13 +21,14 @@ be re-rolled into a different score.
 import hashlib
 import os
 import statistics
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 from . import kernels
-from .fsm import FsmSpec, decode_lines, parse_fsm_line, serialize_fsm, serialize_fsm_line, validate_fsm
+from .fsm import FsmSpec, decode_lines, parse_fsm_line, serialize_fsm_line, validate_fsm
 from .game import Action, score_actions
 from .rng import SplitMix64, derive_seed
-from .strategies import default_registry
+from .strategies import default_registry, roster_default
 
 _BOTH_ACTIONS = (Action.C, Action.D)
 
@@ -65,14 +66,10 @@ class EvolutionParams:
             raise ValueError(f"repetitions must be positive, got {self.repetitions}")
         if not (0.0 <= self.noise <= 1.0):
             raise ValueError(f"noise must lie in [0, 1], got {self.noise}")
-        if self.opponent_roster is None:
-            from .strategies import roster_default
-
-            object.__setattr__(
-                self, "opponent_roster", tuple(sid.name for sid in roster_default())
-            )
-        else:
-            object.__setattr__(self, "opponent_roster", tuple(self.opponent_roster))
+        roster = self.opponent_roster
+        if roster is None:
+            roster = [sid.name for sid in roster_default()]
+        object.__setattr__(self, "opponent_roster", tuple(roster))
         if not self.opponent_roster:
             raise ValueError("opponent_roster must not be empty")
 
@@ -88,8 +85,57 @@ class GenerationRecord:
 # ── genome operators ─────────────────────────────────────────────────
 
 
+# A genome as the search loop holds it from seeding to the log: its kernel
+# Program, whose state i has id ids[i] (ids ascend), its name and its key.
+_Genome = namedtuple("_Genome", "name ids program key")
+
+
+def _genome(name, ids, program, key=None) -> _Genome:
+    """The loop's form; key, unless given, is genome_key rendered from program."""
+    if key is None:
+        cells = zip(program.next_state.ravel().tolist(), program.emit.ravel().tolist())
+        rows = [f"fsm _\nstart {ids[program.start]} {'CD'[program.first]}"]
+        rows.extend(f"{ids[cell >> 1]} {'CD'[cell & 1]} -> {ids[target]} {'CD'[own]}"
+                    for cell, (target, own) in enumerate(cells))
+        key = hashlib.sha256(("\n".join(rows) + "\n").encode("utf-8")).hexdigest()
+    return _Genome(name, ids, program, key)
+
+
+def _from_spec(spec: FsmSpec, key=None) -> _Genome:
+    return _genome(spec.name, tuple(sorted(set(spec.states))), kernels.fsm_program(spec), key)
+
+
+def _to_spec(genome: _Genome) -> FsmSpec:
+    ids, program = genome.ids, genome.program
+    cells = zip(program.next_state.ravel().tolist(), program.emit.ravel().tolist())
+    transitions = {(ids[cell >> 1], _BOTH_ACTIONS[cell & 1]): (ids[target], _BOTH_ACTIONS[own])
+                   for cell, (target, own) in enumerate(cells)}
+    return FsmSpec(genome.name, ids, ids[program.start], _BOTH_ACTIONS[program.first], transitions)
+
+
+def _mutate(genome: _Genome, rate: float, rng: SplitMix64, name: str) -> _Genome:
+    """mutate_fsm on the loop's form; its draw order is documented there."""
+    n, program = len(genome.ids), genome.program
+    next_state, emit = program.next_state.ravel().tolist(), program.emit.ravel().tolist()
+    for cell in range(2 * n):
+        if rng.chance(rate):
+            emit[cell] ^= 1
+        if rng.chance(rate):
+            next_state[cell] = rng.randrange(n)
+    first = program.first ^ rng.chance(rate)
+    child = kernels.Program(kernels.KIND_FSM, next_state, emit, program.start, first, 0.0)
+    return _genome(name, genome.ids, child)
+
+
+def _random(num_states: int, rng: SplitMix64, name: str) -> _Genome:
+    moves = [(rng.randrange(num_states), rng.randrange(2)) for _ in range(2 * num_states)]
+    start = rng.randrange(num_states)
+    program = kernels.Program(kernels.KIND_FSM, *zip(*moves), start, rng.randrange(2), 0.0)
+    return _genome(name, tuple(range(1, num_states + 1)), program)
+
+
 def mutate_fsm(spec: FsmSpec, rate: float, rng: SplitMix64) -> FsmSpec:
-    """One mutation pass over a genome.
+    """One mutation pass over a valid genome.
 
     Draw order is part of the determinism contract: walk states in
     ascending order, C entry then D entry; each entry draws once for
@@ -99,40 +145,13 @@ def mutate_fsm(spec: FsmSpec, rate: float, rng: SplitMix64) -> FsmSpec:
     """
     if not (0.0 <= rate <= 1.0):
         raise ValueError(f"mutation rate must lie in [0, 1], got {rate}")
-    states = sorted(set(spec.states))
-    transitions = dict(spec.transitions)
-    for s in states:
-        for opp in _BOTH_ACTIONS:
-            target, own = transitions[(s, opp)]
-            if rng.chance(rate):
-                own = own.flip()
-            if rng.chance(rate):
-                target = states[rng.randrange(len(states))]
-            transitions[(s, opp)] = (target, own)
-    initial = spec.initial_action
-    if rng.chance(rate):
-        initial = initial.flip()
-    return replace(spec, transitions=transitions, initial_action=initial)
+    child = _to_spec(_mutate(_from_spec(spec), rate, rng, spec.name))
+    return replace(spec, transitions=child.transitions, initial_action=child.initial_action)
 
 
 def random_genome(num_states: int, rng: SplitMix64, name: str) -> FsmSpec:
     """Uniformly random machine on state ids 1..num_states."""
-    states = tuple(range(1, num_states + 1))
-    transitions = {}
-    for s in states:
-        for opp in _BOTH_ACTIONS:
-            target = states[rng.randrange(num_states)]
-            own = Action(rng.randrange(2))
-            transitions[(s, opp)] = (target, own)
-    start = states[rng.randrange(num_states)]
-    initial = Action(rng.randrange(2))
-    return FsmSpec(
-        name=name,
-        states=states,
-        start_state=start,
-        initial_action=initial,
-        transitions=transitions,
-    )
+    return _to_spec(_random(num_states, rng, name))
 
 
 def _pad_genome(spec: FsmSpec, num_states: int, rng: SplitMix64) -> FsmSpec:
@@ -158,11 +177,36 @@ def _pad_genome(spec: FsmSpec, num_states: int, rng: SplitMix64) -> FsmSpec:
 
 def genome_key(spec: FsmSpec) -> str:
     """Content hash of a genome, ignoring its name."""
-    body = serialize_fsm(replace(spec, name="_"))
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return _from_spec(spec).key
 
 
 # ── fitness ──────────────────────────────────────────────────────────
+
+
+def _batch_fitness(genomes, params: EvolutionParams, registry) -> list:
+    """batch_fitness on the loop's form."""
+    opponents = [registry.get(name).program for name in params.opponent_roster]
+    pairs = [(genome.program, opp) for genome in genomes for opp in opponents]
+    roots = {}
+
+    def seed_of(pair, rep):
+        genome, idx = divmod(pair, len(opponents))
+        if genome not in roots:
+            roots[genome] = derive_seed(params.seed, "fitness", genomes[genome].key)
+        return derive_seed(roots[genome], "opp", idx, rep)
+
+    acts_a, acts_b, index = kernels.play_pairs(
+        pairs, params.repetitions, params.turns, params.noise, seed_of
+    )
+    # Pairs run genome-major, then opponent-major, so after the gather
+    # each genome's block sums to one total per repetition.  The payoffs
+    # are integers, so the order of summation cannot move a bit.
+    row_totals, _ = score_actions(acts_a, acts_b)
+    totals = row_totals[index].reshape(len(genomes), len(opponents), params.repetitions).sum(axis=1)
+
+    denominator = params.turns * len(opponents)
+    return [statistics.fmean(total / denominator for total in genome_totals)
+            for genome_totals in totals]
 
 
 def batch_fitness(specs, params: EvolutionParams, registry=None, keys=None) -> list:
@@ -174,31 +218,8 @@ def batch_fitness(specs, params: EvolutionParams, registry=None, keys=None) -> l
     recomputation; a genome's seeds are derived only if one of its
     matches draws random numbers.
     """
-    reg = registry if registry is not None else default_registry()
-    opponents = [reg.get(name).program for name in params.opponent_roster]
-    candidates = [kernels.fsm_program(spec) for spec in specs]
-    pairs = [(candidate, opp) for candidate in candidates for opp in opponents]
-    roots = {}
-
-    def seed_of(pair, rep):
-        genome, idx = divmod(pair, len(opponents))
-        if genome not in roots:
-            key = keys[genome] if keys is not None else genome_key(specs[genome])
-            roots[genome] = derive_seed(params.seed, "fitness", key)
-        return derive_seed(roots[genome], "opp", idx, rep)
-
-    acts_a, acts_b, index = kernels.play_pairs(
-        pairs, params.repetitions, params.turns, params.noise, seed_of
-    )
-    # Pairs run genome-major, then opponent-major, so after the gather
-    # each genome's block sums to one total per repetition.  The payoffs
-    # are integers, so the order of summation cannot move a bit.
-    row_totals, _ = score_actions(acts_a, acts_b)
-    totals = row_totals[index].reshape(len(specs), len(opponents), params.repetitions).sum(axis=1)
-
-    denominator = params.turns * len(opponents)
-    return [statistics.fmean(total / denominator for total in genome_totals)
-            for genome_totals in totals]
+    genomes = [_from_spec(spec, keys[i] if keys else None) for i, spec in enumerate(specs)]
+    return _batch_fitness(genomes, params, registry if registry is not None else default_registry())
 
 
 def fitness(spec: FsmSpec, params: EvolutionParams, registry=None) -> float:
@@ -236,27 +257,26 @@ def evolve(seed_genomes, params: EvolutionParams, registry=None, log_stream=None
                 f"seed genome {genome.name!r} is invalid: " + "; ".join(violations)
             )
         pad_rng = SplitMix64(derive_seed(params.seed, "pad", i))
-        population.append(_pad_genome(genome, params.num_states, pad_rng))
+        population.append(_from_spec(_pad_genome(genome, params.num_states, pad_rng)))
     for i in range(len(population), params.population_size):
         init_rng = SplitMix64(derive_seed(params.seed, "init", i))
-        population.append(random_genome(params.num_states, init_rng, name=f"rand{i}"))
+        population.append(_random(params.num_states, init_rng, name=f"rand{i}"))
 
     cache = {}
 
     records = []
     best_ever = None
     for gen in range(params.generations + 1):
-        keys = [genome_key(genome) for genome in population]
-        fresh = {key: genome for key, genome in zip(keys, population) if key not in cache}
-        cache.update(zip(fresh, batch_fitness(list(fresh.values()), params, reg, keys=list(fresh))))
-        fits = [cache[key] for key in keys]
+        fresh = {genome.key: genome for genome in population if genome.key not in cache}
+        cache.update(zip(fresh, _batch_fitness(list(fresh.values()), params, reg)))
+        fits = [cache[genome.key] for genome in population]
         order = sorted(range(len(population)), key=lambda i: (-fits[i], i))
         champion = order[0]
         record = GenerationRecord(
             index=gen,
             best_fitness=fits[champion],
             mean_fitness=statistics.fmean(fits),
-            best_genome=population[champion],
+            best_genome=_to_spec(population[champion]),
         )
         records.append(record)
         if log_stream is not None:
@@ -273,8 +293,7 @@ def evolve(seed_genomes, params: EvolutionParams, registry=None, log_stream=None
         for slot in range(params.population_size - params.bottleneck):
             parent = survivors[select_rng.randrange(len(survivors))]
             child_rng = SplitMix64(derive_seed(params.seed, "mutate", gen, slot))
-            child = mutate_fsm(parent, params.mutation_rate, child_rng)
-            children.append(replace(child, name=f"g{gen + 1}c{slot}"))
+            children.append(_mutate(parent, params.mutation_rate, child_rng, f"g{gen + 1}c{slot}"))
         population = survivors + children
 
     return best_ever[1], records
@@ -333,14 +352,16 @@ def read_generation_log(path) -> list:
 class ResumedLog:
     """evolve()'s log stream when it reruns the run logged at path.
 
-    A generation the log holds must come out as logged, or ValueError
-    names it and the file is left as it was.  The first new line cuts
-    an unfinished last line, and new lines are appended.
+    A generation the log holds must come out as its logged text, or
+    ValueError names it and the file is left as it was.  The first new
+    line cuts an unfinished last line, and new lines are appended.
     """
 
     def __init__(self, path):
         self.path = path
-        self.logged = [render_generation_line(r) + "\n" for r in read_generation_log(path)]
+        read_generation_log(path)  # refuses a log that does not parse
+        with open(path, "rb") as fh:
+            self.logged = decode_lines(path, fh.read(complete_log_size(path)))
         self._checked = 0
         self._stream = None
 

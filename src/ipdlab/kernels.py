@@ -49,15 +49,16 @@ class Program:
 
     kind KIND_FSM uses next_state/emit/start/first; kind KIND_RANDOM
     ignores them and cooperates with probability p each turn.  States
-    are re-indexed to 0..n-1 in ascending id order.
+    are re-indexed to 0..n-1 in ascending id order.  next_state/emit come
+    as (n, 2) tables or flat ones (cell 2*i + a is row i, column a).
     """
 
     __slots__ = ("kind", "next_state", "emit", "start", "first", "p")
 
     def __init__(self, kind, next_state, emit, start, first, p):
         self.kind = kind
-        self.next_state = next_state
-        self.emit = emit
+        self.next_state = np.asarray(next_state, dtype=np.int64).reshape(-1, 2)
+        self.emit = np.asarray(emit, dtype=np.int8).reshape(-1, 2)
         self.start = start
         self.first = first
         self.p = p
@@ -65,52 +66,38 @@ class Program:
 
 def fsm_program(spec) -> Program:
     """Encode an FsmSpec.  The machine must be valid (total transitions)."""
-    order = sorted(set(spec.states))
-    index = {s: i for i, s in enumerate(order)}
-    n = len(order)
-    next_state = np.zeros((n, 2), dtype=np.int64)
-    emit = np.zeros((n, 2), dtype=np.int8)
-    for s in order:
-        for opp in (0, 1):
-            # Action is an IntEnum, so plain ints hit the same dict keys.
-            target, own = spec.transitions[(s, opp)]
-            next_state[index[s], opp] = index[target]
-            emit[index[s], opp] = int(own)
-    return Program(KIND_FSM, next_state, emit, index[spec.start_state],
-                   int(spec.initial_action), 0.0)
+    index = {s: i for i, s in enumerate(sorted(set(spec.states)))}
+    # Action is an IntEnum, so plain ints hit the same dict keys.
+    moves = [spec.transitions[(s, opp)] for s in index for opp in (0, 1)]
+    return Program(KIND_FSM, [index[target] for target, _ in moves], [int(own) for _, own in moves],
+                   index[spec.start_state], int(spec.initial_action), 0.0)
 
 
 def random_program(p: float) -> Program:
     """Encode a coin-flip strategy that cooperates with probability p."""
-    return Program(KIND_RANDOM, np.zeros((1, 2), dtype=np.int64),
-                   np.zeros((1, 2), dtype=np.int8), 0, 0, float(p))
+    return Program(KIND_RANDOM, [0, 0], [0, 0], 0, 0, float(p))
 
 
 def _pack(programs):
     """Padded arrays of the distinct program objects, plus the slot of each entry.
 
     A batch repeats a few program objects over many rows, so each is
-    encoded once; the kernel reads row i's program at slot[i].
+    encoded once; the kernel reads row i's program at slot[i].  Program
+    defines no __eq__, so two objects of equal content get two slots.
     """
-    distinct = list({id(prog): prog for prog in programs}.values())
-    position = {id(prog): i for i, prog in enumerate(distinct)}
-    slot = np.fromiter((position[id(prog)] for prog in programs), np.int64, len(programs))
-    count = len(distinct)
+    distinct = list(dict.fromkeys(programs))
+    position = {prog: i for i, prog in enumerate(distinct)}
+    slot = np.fromiter(map(position.__getitem__, programs), np.int64, len(programs))
     width = max(prog.next_state.shape[0] for prog in distinct)
-    kind = np.zeros(count, dtype=np.int8)
-    next_state = np.zeros((count, width, 2), dtype=np.int64)
-    emit = np.zeros((count, width, 2), dtype=np.int8)
-    start = np.zeros(count, dtype=np.int64)
-    first = np.zeros(count, dtype=np.int8)
-    coop_p = np.zeros(count, dtype=np.float64)
+    next_state = np.zeros((len(distinct), width, 2), dtype=np.int64)
+    emit = np.zeros((len(distinct), width, 2), dtype=np.int8)
     for i, prog in enumerate(distinct):
-        n = prog.next_state.shape[0]
-        kind[i] = prog.kind
-        next_state[i, :n] = prog.next_state
-        emit[i, :n] = prog.emit
-        start[i] = prog.start
-        first[i] = prog.first
-        coop_p[i] = prog.p
+        next_state[i, :len(prog.next_state)] = prog.next_state
+        emit[i, :len(prog.emit)] = prog.emit
+    kind = np.array([prog.kind for prog in distinct], dtype=np.int8)
+    start = np.array([prog.start for prog in distinct], dtype=np.int64)
+    first = np.array([prog.first for prog in distinct], dtype=np.int8)
+    coop_p = np.array([prog.p for prog in distinct], dtype=np.float64)
     return kind, next_state, emit, start, first, coop_p, slot
 
 

@@ -505,6 +505,41 @@ class TestEvolveCommand:
         log.write_bytes(b"\n".join(lines))
         self._assert_resume_refused(capsys, log, self._args(generations=5), 1)
 
+    @pytest.mark.parametrize("edit", ["extra_zero", "blank_line"])
+    def test_resume_refuses_an_edit_that_keeps_every_value(self, tmp_path, capsys, edit):
+        log = tmp_path / "gen.log"
+        assert main([*self._args(generations=2), "--log", str(log)]) == 0
+        records = read_generation_log(log)
+        lines = log.read_text().splitlines(keepends=True)
+        if edit == "extra_zero":
+            index, best, rest = lines[1].split(",", 2)
+            lines[1] = f"{index},{best}0,{rest}"  # the same best fitness
+        else:
+            lines.insert(1, "\n")  # the reader skips blank lines
+        log.write_text("".join(lines))
+        assert read_generation_log(log) == records
+        self._assert_resume_refused(capsys, log, self._args(generations=4), 1)
+
+    @pytest.mark.parametrize("seed, code", [(0, 0), (7, 2)], ids=["same_flags", "other_seed"])
+    def test_finished_resume_checks_the_logged_generations(self, tmp_path, capsys, seed, code):
+        # the log already reaches --generations: nothing is run on, but the
+        # generations asked for are still rerun and checked
+        log, out = tmp_path / "gen.log", tmp_path / "best.fsm"
+        assert main([*self._args(generations=12, seed=0), "--log", str(log)]) == 0
+        out.write_text("untouched\n")
+        before = log.read_bytes()
+        capsys.readouterr()
+        args = [*self._args(generations=5, seed=seed), "--log", str(log), "--out", str(out)]
+        assert main([*args, "--resume"]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert "# log already reaches generation 12; nothing to do" in captured.out
+        else:
+            assert captured.err == (
+                f"error: {log}: generation 0 differs from a rerun with these flags\n")
+        assert log.read_bytes() == before
+        assert out.read_text() == "untouched\n"
+
     def test_resume_without_log_is_data_error(self, capsys):
         assert main([*self.ARGS, "--resume"]) == 2
         assert "--log" in capsys.readouterr().err

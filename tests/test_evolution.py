@@ -1,5 +1,6 @@
 """Genome operators, fitness evaluation, and the elitist search loop."""
 
+import hashlib
 import io
 from dataclasses import replace
 
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipdlab import (
+    Action,
     EvolutionParams,
+    FsmSpec,
     GenerationRecord,
     behaviorally_equivalent,
     evolve,
@@ -20,12 +23,57 @@ from ipdlab import (
     roster_default,
     validate_fsm,
 )
-from ipdlab.evolution import _pad_genome, batch_fitness, genome_key, render_generation_line
-from ipdlab.fsm import serialize_fsm_line
+from ipdlab.evolution import (
+    _from_spec,
+    _mutate,
+    _pad_genome,
+    batch_fitness,
+    genome_key,
+    render_generation_line,
+)
+from ipdlab.fsm import serialize_fsm, serialize_fsm_line
 from ipdlab.rng import SplitMix64
 from ipdlab.strategies import CLASSIC_FSMS
 
 from conftest import fsm_specs
+
+
+_BOTH_ACTIONS = (Action.C, Action.D)
+
+
+def _reference_mutate_fsm(spec, rate, rng):
+    """mutate_fsm walked on the FsmSpec dict: the oracle for the array form."""
+    states = sorted(set(spec.states))
+    transitions = dict(spec.transitions)
+    for s in states:
+        for opp in _BOTH_ACTIONS:
+            target, own = transitions[(s, opp)]
+            if rng.chance(rate):
+                own = own.flip()
+            if rng.chance(rate):
+                target = states[rng.randrange(len(states))]
+            transitions[(s, opp)] = (target, own)
+    initial = spec.initial_action
+    if rng.chance(rate):
+        initial = initial.flip()
+    return replace(spec, transitions=transitions, initial_action=initial)
+
+
+@st.composite
+def sparse_fsm_specs(draw, max_states=6):
+    """Valid machines whose state ids are any distinct positive integers."""
+    states = tuple(sorted(draw(st.sets(st.integers(1, 60), min_size=1, max_size=max_states))))
+    transitions = {(s, opp): (draw(st.sampled_from(states)), draw(st.sampled_from(_BOTH_ACTIONS)))
+                   for s in states for opp in _BOTH_ACTIONS}
+    return FsmSpec("sparse", states, draw(st.sampled_from(states)),
+                   draw(st.sampled_from(_BOTH_ACTIONS)), transitions)
+
+
+any_fsm_specs = st.one_of(fsm_specs(max_states=6), sparse_fsm_specs())
+
+
+def _sha256_key(spec):
+    return hashlib.sha256(serialize_fsm(replace(spec, name="_")).encode("utf-8")).hexdigest()
 
 
 def _params(**kw):
@@ -109,6 +157,18 @@ class TestMutation:
         assert child.states == spec.states
         assert child.start_state == spec.start_state
 
+    @given(spec=any_fsm_specs,
+           rate=st.one_of(st.sampled_from((0.0, 0.1, 1.0)), st.floats(0.0, 1.0)),
+           seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_array_form_equals_the_fsm_spec_reference(self, spec, rate, seed):
+        rng, reference_rng = SplitMix64(seed), SplitMix64(seed)
+        expected = _reference_mutate_fsm(spec, rate, reference_rng)
+        assert mutate_fsm(spec, rate, rng) == expected
+        assert rng.state == reference_rng.state  # the same number of draws
+        child = _mutate(_from_spec(spec), rate, SplitMix64(seed), "child")
+        assert child.key == _sha256_key(expected)
+
 
 class TestRandomGenome:
     @given(num_states=st.integers(1, 12), seed=st.integers(0, 2**32))
@@ -145,6 +205,12 @@ class TestGenomeKey:
 
     def test_content_does(self, e6, e8):
         assert genome_key(e6) != genome_key(e8)
+
+    @given(spec=any_fsm_specs)
+    @settings(max_examples=80, deadline=None)
+    def test_rendered_from_the_arrays_equals_the_serialized_hash(self, spec):
+        assert genome_key(spec) == _sha256_key(spec)
+        assert _from_spec(spec).key == _sha256_key(spec)
 
 
 class TestFitness:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ipdlab import MatchConfig, default_registry, roster_default
 from ipdlab.game import _play_generic
 from ipdlab.kernels import (
+    _pack,
     active_backend,
     fsm_program,
     play_batch,
@@ -67,6 +68,16 @@ class TestThreeWayParity:
 
 
 class TestBatchMechanics:
+    def test_pack_gives_each_program_object_one_slot(self, e6):
+        # Program defines no __eq__: equal content in two objects is two slots
+        first, twin, other = fsm_program(e6), fsm_program(e6), random_program(0.3)
+        kind, next_state, _, _, _, coop_p, slot = _pack([first, twin] + [other] * 50 + [first])
+        assert slot.tolist() == [0, 1] + [2] * 50 + [0]
+        assert kind.tolist() == [0, 0, 1]
+        assert np.array_equal(next_state[0], next_state[1])
+        assert np.array_equal(next_state[0], first.next_state)
+        assert coop_p.tolist() == [0.0, 0.0, 0.3]
+
     def test_mixed_state_counts_pad_correctly(self, e6, secondprac):
         # 6-state and 10-state machines in one batch must behave exactly
         # like they do in singleton batches.

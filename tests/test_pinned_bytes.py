@@ -13,7 +13,8 @@ import hashlib
 import pytest
 
 from ipdlab.cli import main
-from ipdlab.strategies import roster_default
+from ipdlab.fsm import serialize_fsm
+from ipdlab.strategies import builtin_fsm, roster_default
 
 ROSTER = "Random,TitForTat,EvolvedFSM8,Alternator"
 
@@ -94,6 +95,38 @@ def test_evolve_artifacts_are_pinned(tmp_path, capsys, noise):
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                for name, path in paths.items()}
     assert digests == EVOLVE_PINNED[noise]
+
+
+# EvolvedFSM6 as a seed genome: its state ids 3..8 are sparse, and
+# --num-states 8 pads it with states 9 and 10, so the seed and its
+# descendants carry ids that are not 1..n.
+SEEDED_EVOLVE_PINNED = {
+    "0": {
+        "gen.log": "3c1e4ea04a811682553906809471e9f91baa8071ac9440f116d84e8686be94e6",
+        "best.fsm": "378d98df33b46f4ed9b2b76f8c605fd27e005e39e22d223095c8c5f2b9304468",
+    },
+    "0.05": {
+        "gen.log": "9ac41739c3ba7ea99fc58f7a87f92a40f59347c1f88266d3cc0467f0629ebc66",
+        "best.fsm": "808bb43b8aaef7a053487779cab32f9efc7f9129fd211f8e25c1d2238ef000c4",
+    },
+}
+
+
+@pytest.mark.parametrize("noise", sorted(SEEDED_EVOLVE_PINNED))
+def test_seeded_evolve_artifacts_are_pinned(tmp_path, capsys, noise):
+    seed = tmp_path / "EvolvedFSM6.fsm"
+    seed.write_text(serialize_fsm(builtin_fsm("EvolvedFSM6")), encoding="utf-8")
+    paths = {name: tmp_path / name for name in SEEDED_EVOLVE_PINNED[noise]}
+    assert main([
+        "evolve", "--generations", "5", "--population-size", "12", "--bottleneck", "3",
+        "--num-states", "8", "--turns", "15", "--repetitions", "3", "--roster", ROSTER,
+        "--noise", noise, "--seed", "0", "--seed-fsm", str(seed),
+        "--log", str(paths["gen.log"]), "--out", str(paths["best.fsm"]),
+    ]) == 0
+    capsys.readouterr()
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in paths.items()}
+    assert digests == SEEDED_EVOLVE_PINNED[noise]
 
 
 # The default roster at 200 turns x 10 reps and noise 0.05, then `rates`
