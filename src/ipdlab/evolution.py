@@ -24,10 +24,12 @@ import statistics
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import kernels
 from .fsm import FsmSpec, decode_lines, parse_fsm_line, serialize_fsm_line, validate_fsm
 from .game import Action, score_actions
-from .rng import SplitMix64, derive_seed
+from .rng import GOLDEN, MASK64, SplitMix64, derive_seed
 from .strategies import default_registry, roster_default
 
 _BOTH_ACTIONS = (Action.C, Action.D)
@@ -113,18 +115,41 @@ def _to_spec(genome: _Genome) -> FsmSpec:
     return FsmSpec(genome.name, ids, ids[program.start], _BOTH_ACTIONS[program.first], transitions)
 
 
-def _mutate(genome: _Genome, rate: float, rng: SplitMix64, name: str) -> _Genome:
-    """mutate_fsm on the loop's form; its draw order is documented there."""
-    n, program = len(genome.ids), genome.program
-    next_state, emit = program.next_state.ravel().tolist(), program.emit.ravel().tolist()
+def _mutate_all(parents, rate: float, rngs, names) -> list:
+    """mutate_fsm on the loop's form: parents[i], all of one state count
+    n, mutated with rngs[i] into a child named names[i].
+
+    A child makes at most 6n + 1 draws, in the order documented there,
+    so all of them come from one block of SplitMix64 draws computed at
+    once.  Each stream ends past the draws its child used.
+    """
+    if not parents:
+        return []
+    n, rows = len(parents[0].ids), np.arange(len(parents))
+    steps = np.arange(1, 6 * n + 2, dtype=np.uint64) * kernels._UG
+    draws = kernels._mix_np(np.array([rng.state for rng in rngs], dtype=np.uint64)[:, None] + steps)
+    fires = kernels._doubles_np(draws) < rate
+    targets = (draws % np.uint64(n)).astype(np.int64)
+    next_state = np.array([parent.program.next_state.ravel() for parent in parents])
+    emit = np.array([parent.program.emit.ravel() for parent in parents])
+    p = np.zeros(len(parents), dtype=np.int64)  # each child's next draw
     for cell in range(2 * n):
-        if rng.chance(rate):
-            emit[cell] ^= 1
-        if rng.chance(rate):
-            next_state[cell] = rng.randrange(n)
-    first = program.first ^ rng.chance(rate)
-    child = kernels.Program(kernels.KIND_FSM, next_state, emit, program.start, first, 0.0)
-    return _genome(name, genome.ids, child)
+        # the flip at p, the retarget at p + 1, its target at p + 2 if it fires
+        emit[:, cell] ^= fires[rows, p]
+        retarget = fires[rows, p + 1]
+        next_state[:, cell] = np.where(retarget, targets[rows, p + 2], next_state[:, cell])
+        p += 2 + retarget
+    firsts = fires[rows, p].tolist()
+    for rng, used in zip(rngs, (p + 1).tolist()):
+        rng.state = (rng.state + used * GOLDEN) & MASK64
+    return [_genome(name, parent.ids,
+                    kernels.Program(kernels.KIND_FSM, next_state[i], emit[i], parent.program.start,
+                                    parent.program.first ^ firsts[i], 0.0))
+            for i, (parent, name) in enumerate(zip(parents, names))]
+
+
+def _mutate(genome: _Genome, rate: float, rng: SplitMix64, name: str) -> _Genome:
+    return _mutate_all([genome], rate, [rng], [name])[0]
 
 
 def _random(num_states: int, rng: SplitMix64, name: str) -> _Genome:
@@ -289,12 +314,11 @@ def evolve(seed_genomes, params: EvolutionParams, registry=None, log_stream=None
             break
         survivors = [population[i] for i in order[: params.bottleneck]]
         select_rng = SplitMix64(derive_seed(params.seed, "select", gen))
-        children = []
-        for slot in range(params.population_size - params.bottleneck):
-            parent = survivors[select_rng.randrange(len(survivors))]
-            child_rng = SplitMix64(derive_seed(params.seed, "mutate", gen, slot))
-            children.append(_mutate(parent, params.mutation_rate, child_rng, f"g{gen + 1}c{slot}"))
-        population = survivors + children
+        slots = range(params.population_size - params.bottleneck)
+        parents = [survivors[select_rng.randrange(len(survivors))] for _ in slots]
+        rngs = [SplitMix64(derive_seed(params.seed, "mutate", gen, slot)) for slot in slots]
+        population = survivors + _mutate_all(parents, params.mutation_rate, rngs,
+                                             [f"g{gen + 1}c{slot}" for slot in slots])
 
     return best_ever[1], records
 

@@ -214,20 +214,18 @@ def play_pairs(pairs, repetitions, turns, noise, seed_of):
     gives them, and an int array of shape (len(pairs), repetitions)
     holding the row that plays each (pair, rep).
     """
-    progs_a, progs_b, seeds, index = [], [], [], []
-    for pair, (prog_a, prog_b) in enumerate(pairs):
-        first_row = len(seeds)
-        if noise == 0 and prog_a.kind == KIND_FSM and prog_b.kind == KIND_FSM:
-            index.append([first_row] * repetitions)
-            seeds.append(0)
-        else:
-            index.append(range(first_row, first_row + repetitions))
-            seeds.extend(seed_of(pair, rep) for rep in range(repetitions))
-        played = len(seeds) - first_row
-        progs_a.extend([prog_a] * played)
-        progs_b.extend([prog_b] * played)
-    acts_a, acts_b = play_batch(progs_a, progs_b, turns, noise, seeds)
-    return acts_a, acts_b, np.array(index, dtype=np.int64).reshape(len(pairs), repetitions)
+    shared = np.fromiter((a.kind == b.kind == KIND_FSM for a, b in pairs), bool, len(pairs))
+    shared &= noise == 0
+    played = np.where(shared, 1, repetitions)
+    first_row = np.cumsum(played) - played
+    index = first_row[:, None] + np.where(shared[:, None], 0, np.arange(repetitions))
+    seeds = np.zeros(played.sum(), dtype=np.uint64)
+    seeds[index[~shared].ravel()] = np.array(
+        [seed_of(pair, rep) for pair in np.flatnonzero(~shared).tolist() for rep in range(repetitions)],
+        dtype=np.uint64)
+    progs = np.repeat(np.array(pairs, dtype=object).reshape(-1, 2), played, axis=0)
+    acts_a, acts_b = play_batch(progs[:, 0], progs[:, 1], turns, noise, seeds)
+    return acts_a, acts_b, index
 
 
 def play_one(prog_a, prog_b, turns, noise, seed):

@@ -29,7 +29,12 @@ def mix64(value: int) -> int:
 
 
 class SplitMix64:
-    """A tiny, fast, splittable PRNG holding 64 bits of state."""
+    """A tiny, fast, splittable PRNG holding 64 bits of state.
+
+    Each draw adds GOLDEN to the state and mixes it, so draw k (k = 1,
+    2, ...) from state s is mix64(s + k * GOLDEN): any draw of a stream
+    can be computed without the ones before it.
+    """
 
     __slots__ = ("state",)
 

@@ -26,7 +26,9 @@ from ipdlab import (
 from ipdlab.evolution import (
     _from_spec,
     _mutate,
+    _mutate_all,
     _pad_genome,
+    _to_spec,
     batch_fitness,
     genome_key,
     render_generation_line,
@@ -169,6 +171,26 @@ class TestMutation:
         child = _mutate(_from_spec(spec), rate, SplitMix64(seed), "child")
         assert child.key == _sha256_key(expected)
 
+    @given(specs=st.lists(any_fsm_specs, min_size=1, max_size=6),
+           rate=st.one_of(st.sampled_from((0.0, 0.1, 0.5, 1.0)), st.floats(0.0, 1.0)),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_one_batch_equals_the_reference_per_child(self, specs, rate, data):
+        # Padded to one state count, the parents still carry different ids.
+        n = max(len(spec.states) for spec in specs)
+        parents = [_pad_genome(spec, n, SplitMix64(i)) for i, spec in enumerate(specs)]
+        seeds = data.draw(st.lists(st.integers(0, 2**64 - 1),
+                                   min_size=len(parents), max_size=len(parents)))
+        rngs = [SplitMix64(seed) for seed in seeds]
+        children = _mutate_all([_from_spec(parent) for parent in parents], rate, rngs,
+                               [parent.name for parent in parents])
+        for parent, seed, rng, child in zip(parents, seeds, rngs, children):
+            reference_rng = SplitMix64(seed)
+            expected = _reference_mutate_fsm(parent, rate, reference_rng)
+            assert _to_spec(child) == expected
+            assert child.key == _sha256_key(expected)
+            assert rng.state == reference_rng.state
+
 
 class TestRandomGenome:
     @given(num_states=st.integers(1, 12), seed=st.integers(0, 2**32))
@@ -301,6 +323,11 @@ class TestEvolve:
         _, records = evolve([e6], params)
         keys = {genome_key(r.best_genome) for r in records}
         assert len(keys) == 1  # the champion is copied forever
+
+    def test_a_full_bottleneck_breeds_no_children(self, e6):
+        params = _params(generations=2, population_size=3, bottleneck=3, turns=10, repetitions=1)
+        _, records = evolve([e6], params)
+        assert len({render_generation_line(r).split(",", 1)[1] for r in records}) == 1
 
     def test_too_many_seed_genomes_rejected(self, e6, e8):
         with pytest.raises(ValueError, match="exceed population size"):

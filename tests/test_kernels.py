@@ -169,6 +169,32 @@ class TestPlayPairs:
         assert np.array_equal(acts_a[index.ravel()], full_a)
         assert np.array_equal(acts_b[index.ravel()], full_b)
 
+    def test_no_pairs_give_empty_blocks_and_draw_no_seed(self):
+        def seed_of(pair, rep):
+            raise AssertionError("no pair, no seed")
+
+        acts_a, acts_b, index = play_pairs([], 3, 7, 0.05, seed_of)
+        assert acts_a.shape == acts_b.shape == (0, 7)
+        assert acts_a.dtype == acts_b.dtype == np.int8
+        assert index.shape == (0, 3)
+        assert index.dtype == np.int64
+
+    @pytest.mark.parametrize("noise, coins", [
+        (0.0, ()),  # every pair shares one row
+        (0.05, ()),  # no pair does
+        (0.0, (1, 3)),  # the pairs with a coin do not
+    ], ids=["all_shared", "none_shared", "mixed"])
+    def test_one_repetition_plays_the_fully_expanded_batch(self, e6, e8, noise, coins):
+        machines = [fsm_program(e6), fsm_program(e8)]
+        pairs = [(machines[i % 2], random_program(0.5) if i in coins else machines[i // 2 % 2])
+                 for i in range(5)]
+        acts_a, acts_b, index = play_pairs(pairs, 1, 12, noise, _seed_of)
+        full_a, full_b = play_batch([a for a, _ in pairs], [b for _, b in pairs], 12, noise,
+                                    [_seed_of(pair, 0) for pair in range(len(pairs))])
+        assert index.tolist() == [[row] for row in range(len(pairs))]
+        assert np.array_equal(acts_a, full_a)
+        assert np.array_equal(acts_b, full_b)
+
     def test_seeds_are_drawn_only_for_matches_that_use_them(self, e6):
         machine = fsm_program(e6)
         coin = random_program(0.5)

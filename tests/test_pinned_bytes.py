@@ -97,6 +97,43 @@ def test_evolve_artifacts_are_pinned(tmp_path, capsys, noise):
     assert digests == EVOLVE_PINNED[noise]
 
 
+# The same run at higher mutation rates.  At rate 1 every retarget fires,
+# so the children's draws are spread as far apart as they can be.
+RATE_EVOLVE_PINNED = {
+    ("0.5", "0"): {
+        "gen.log": "78172f9ab898471dfba03d1d38e82a12db412f6b878b399cce4ca6282a3445a8",
+        "best.fsm": "c89bfff2da90299710b01a4fd7c23caa9c3c4177a842856271ce2e281a0f9782",
+    },
+    ("0.5", "0.05"): {
+        "gen.log": "f65f35c0a2566dbf0216a355b5e20c536862cbd6a7cc1caed1cd1aacac6d8f66",
+        "best.fsm": "edfae465dea21c33b427b71046d2d5afe49afd6a3644b8f0b823929b6ecf22bf",
+    },
+    ("1", "0"): {
+        "gen.log": "27177a1cb9b0ec5fea387f5eec4348dc20ba9d008cec3dca4ee129b908e75e4e",
+        "best.fsm": "3aaf11912e7dc434e3a2e6c32ceb8b774ca0d8b6ddb80be91feafa202111de24",
+    },
+    ("1", "0.05"): {
+        "gen.log": "19d3ad4dc01c867cc04fc97492bfbe0e9cbfbc968683805d48c4fd8f9904945e",
+        "best.fsm": "7b2c33ecc783b7066e3cda899a3dc643c3a1a80351fd83b359211f6231a294cc",
+    },
+}
+
+
+@pytest.mark.parametrize("rate, noise", sorted(RATE_EVOLVE_PINNED))
+def test_evolve_artifacts_at_high_mutation_rates_are_pinned(tmp_path, capsys, rate, noise):
+    paths = {name: tmp_path / name for name in RATE_EVOLVE_PINNED[rate, noise]}
+    assert main([
+        "evolve", "--generations", "5", "--population-size", "12", "--bottleneck", "3",
+        "--num-states", "4", "--turns", "15", "--repetitions", "3", "--roster", ROSTER,
+        "--noise", noise, "--seed", "0", "--mutation-rate", rate,
+        "--log", str(paths["gen.log"]), "--out", str(paths["best.fsm"]),
+    ]) == 0
+    capsys.readouterr()
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in paths.items()}
+    assert digests == RATE_EVOLVE_PINNED[rate, noise]
+
+
 # EvolvedFSM6 as a seed genome: its state ids 3..8 are sparse, and
 # --num-states 8 pads it with states 9 and 10, so the seed and its
 # descendants carry ids that are not 1..n.
