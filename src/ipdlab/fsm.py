@@ -68,6 +68,14 @@ class FsmValidationError(ValueError):
         self.violations = list(violations)
 
 
+def _name_fault(name) -> str:
+    """What is wrong with a machine name, or '' when it is one token
+    without ';' or ','."""
+    if not name or any(ch.isspace() for ch in name) or ";" in name or "," in name:
+        return f"name {name!r} must be a single token without ';' or ','"
+    return ""
+
+
 def validate_fsm(spec: FsmSpec) -> list:
     """Return a list of human-readable violations, empty when valid."""
     violations = []
@@ -81,8 +89,8 @@ def validate_fsm(spec: FsmSpec) -> list:
         else:
             seen.add(s)
 
-    if not spec.name or any(ch.isspace() for ch in spec.name) or ";" in spec.name or "," in spec.name:
-        violations.append(f"name {spec.name!r} must be a single token without ';' or ','")
+    if fault := _name_fault(spec.name):
+        violations.append(fault)
 
     if spec.start_state not in seen:
         violations.append(f"start state {spec.start_state} not in state set")
@@ -283,7 +291,8 @@ def parse_fsm(text: str) -> FsmSpec:
     transitions = {}
     lhs_states = set()
 
-    for line_number, raw in enumerate(text.splitlines(), start=1):
+    # lines break at '\n', '\r' and '\r\n' only, as text mode reads a file
+    for line_number, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -294,6 +303,8 @@ def parse_fsm(text: str) -> FsmSpec:
                 raise FsmParseError(f"expected 'fsm <name>', got {raw.strip()!r}", line_number)
             if len(tokens) != 2:
                 raise FsmParseError("'fsm' takes exactly one name token", line_number)
+            if fault := _name_fault(tokens[1]):
+                raise FsmParseError(fault, line_number)
             name = tokens[1]
             continue
 

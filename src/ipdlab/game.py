@@ -113,8 +113,10 @@ class MatchRecord:
 def score_actions(codes_a, codes_b, matrix: PayoffMatrix = DEFAULT_PAYOFFS) -> tuple:
     """A's and B's payoff totals of action codes (C = 0, D = 1), summed over the
     last axis: one pair of totals per match for a (matches, turns) block."""
-    table = matrix.as_array()
-    return table[codes_a, codes_b].sum(axis=-1), table[codes_b, codes_a].sum(axis=-1)
+    codes_a, codes_b = np.asarray(codes_a), np.asarray(codes_b)
+    # as_array()[own, opponent] is entry 2 * own + opponent of the flat table
+    table = matrix.as_array().ravel()
+    return table[2 * codes_a + codes_b].sum(axis=-1), table[2 * codes_b + codes_a].sum(axis=-1)
 
 
 _LETTERS = np.frombuffer(b"CD", np.uint8)

@@ -3,15 +3,19 @@
 Strategies that reduce to a lookup table (every built-in does) get
 flattened into a `Program` and replayed here instead of through the
 per-turn Python loop in `game._play_generic`.  One numpy loop plays a
-whole batch of matches, one turn at a time, and must agree bit for bit
-with `game._play_generic`: it replicates the SplitMix64 streams from
-`rng.py` exactly (stream A, stream B, noise stream, in that per-turn
-draw order).
+whole batch of matches and must agree bit for bit with
+`game._play_generic`: it replicates the SplitMix64 streams from
+`rng.py` exactly (stream A, stream B, noise stream).
 
-The tricky parity detail: stochastic strategies draw exactly one double
-per turn and deterministic ones draw nothing, so the kernel computes
-candidate draws for whole arrays but only commits advanced stream state
-on the stochastic rows.
+Draw k of a stream in state s is mix64(s + k * GOLDEN), so no draw
+needs the ones before it.  A Random row's move on turn t is draw t + 1
+of its own stream, and the noise flips of turn t are noise-stream draws
+2t + 1 (A) and 2t + 2 (B); a machine draws nothing.  The kernel computes
+all of these for BLOCK_TURNS turns at a time, as one int8 block of bits
+per side, before it steps those turns.  The per-turn loop is then the
+table step alone: one gather per side from a flat table of
+2 * next state + own action, and an XOR with the block's bits.  A
+Random row steps an all-zero table, so its coin alone decides its move.
 """
 
 import numpy as np
@@ -34,6 +38,11 @@ _S11 = np.uint64(11)
 _TAG1 = np.uint64((1 * GOLDEN) & MASK64)
 _TAG2 = np.uint64((2 * GOLDEN) & MASK64)
 _TAG3 = np.uint64((3 * GOLDEN) & MASK64)
+
+# Turns whose draws are computed as one block ahead of their steps.  The
+# blocks hold BLOCK_TURNS x matches draws, so they are bounded by this, not
+# by the match length.
+BLOCK_TURNS = 16
 
 
 def active_backend() -> str:
@@ -105,78 +114,119 @@ def _pack(programs):
 
 
 def _mix_np(z):
-    z = (z ^ (z >> _S30)) * _M1
-    z = (z ^ (z >> _S27)) * _M2
-    return z ^ (z >> _S31)
+    """mix64 of every element of a uint64 array, as a new array."""
+    return _mix_in_place(z.copy())
+
+
+def _mix_in_place(z):
+    """mix64 of every element of a uint64 array, written over it."""
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
+    return z
 
 
 def _doubles_np(z):
     return (z >> _S11).astype(np.float64) * DOUBLE_UNIT
 
 
+def _limit(level):
+    """The integer form of `double < level`: a draw's double is m * 2**-53
+    with m = draw >> 11, and it is below level exactly when m < ceil(level
+    * 2**53), a product and a ceiling that float64 computes exactly for
+    level in [0, 1]."""
+    return np.ceil(np.multiply(level, 2.0 ** 53)).astype(np.uint64)
+
+
+def _draws(state, first, count, step=1):
+    """Draws first, first + step, ... (count of them) of the streams whose
+    states are `state`, as a (count, streams) uint64 block."""
+    k = np.arange(first, first + count * step, step, dtype=np.uint64)
+    return _mix_in_place(state + (k * _UG)[:, None])
+
+
+def _step_table(kind, next_state, emit, start, first, slot):
+    """The flat step table of one side's packed programs, and each row's
+    entry for turn one.
+
+    A state's global index g is slot * width + state; the table holds
+    2 * g' + emit at key 2 * g + opp, where (g', emit) is the transition
+    on the opponent's recorded move opp.  A Random slot's table and
+    opening are all zero, whatever its Program holds: its stepped action
+    is always 0, so its coin decides its move alone.  Keys are int32 to
+    keep the kernel's (BLOCK_TURNS, matches) key blocks small.
+    """
+    machine = kind == KIND_FSM
+    base = np.arange(len(kind)) * next_state.shape[1]
+    cells = machine[:, None, None]
+    table = 2 * (base[:, None, None] + cells * next_state) + cells * emit
+    opening = 2 * (base + machine * start) + machine * first
+    return table.ravel().astype(np.int32), opening[slot].astype(np.int32)
+
+
+def _coins(kind, p, slot, seeds, tag):
+    """One side's Random rows, their streams' states and their limits of p."""
+    rows = np.flatnonzero(kind[slot] == KIND_RANDOM)
+    return rows, _mix_np(seeds[rows] + tag), _limit(p[slot[rows]])
+
+
+def _bits(coins, noise_stream, t0, count, side):
+    """One side's (count, rows) int8 block of bits to XOR into its stepped
+    actions on turns t0 .. t0 + count - 1, or None when all are 0.
+
+    A Random row's move on turn t is its own stream's draw t + 1, D unless
+    that double is below p.  The noise flips of turn t are noise-stream
+    draws 2t + 1 (side 0, A) and 2t + 2 (side 1, B), a flip when below
+    the noise level.
+    """
+    rows, coin_state, coin_limit = coins
+    noise_state, noise_limit = noise_stream
+    bits = None
+    if noise_limit:
+        draws = _draws(noise_state, 2 * t0 + 1 + side, count, 2)
+        bits = ((draws >> _S11) < noise_limit).view(np.int8)
+    if rows.size:
+        draws = _draws(coin_state, t0 + 1, count)
+        if bits is None:
+            bits = np.zeros((count, noise_state.shape[0]), dtype=np.int8)
+        bits[:, rows] ^= ((draws >> _S11) >= coin_limit).view(np.int8)
+    return bits
+
+
 def _batch_numpy(kind_a, next_a, emit_a, start_a, first_a, p_a, slot_a,
                  kind_b, next_b, emit_b, start_b, first_b, p_b, slot_b,
                  turns, noise, seeds, out_a, out_b):
-    m = seeds.shape[0]
-    sa = _mix_np(seeds + _TAG1)
-    sb = _mix_np(seeds + _TAG2)
-    sn = _mix_np(seeds + _TAG3)
-    stoch_a = kind_a[slot_a] == KIND_RANDOM
-    stoch_b = kind_b[slot_b] == KIND_RANDOM
-    det_a = ~stoch_a
-    det_b = ~stoch_b
-    p_a = p_a[slot_a]
-    p_b = p_b[slot_b]
-    cur_a = start_a[slot_a]
-    cur_b = start_b[slot_b]
-    first_a64 = first_a[slot_a].astype(np.int64)
-    first_b64 = first_b[slot_b].astype(np.int64)
-    prev_a = np.zeros(m, dtype=np.int64)
-    prev_b = np.zeros(m, dtype=np.int64)
-    act_a = np.zeros(m, dtype=np.int64)
-    act_b = np.zeros(m, dtype=np.int64)
-    any_stoch_a = bool(stoch_a.any())
-    any_stoch_b = bool(stoch_b.any())
+    rows = seeds.shape[0]
+    table_a, entry_a = _step_table(kind_a, next_a, emit_a, start_a, first_a, slot_a)
+    table_b, entry_b = _step_table(kind_b, next_b, emit_b, start_b, first_b, slot_b)
+    coins_a = _coins(kind_a, p_a, slot_a, seeds, _TAG1)
+    coins_b = _coins(kind_b, p_b, slot_b, seeds, _TAG2)
+    noise_stream = (_mix_np(seeds + _TAG3), _limit(noise))
+    # key_a[k] is A's table key after turn t0 + k: its bit 0 is B's recorded move
+    key_a = np.empty((BLOCK_TURNS, rows), dtype=np.int32)
+    key_b = np.empty((BLOCK_TURNS, rows), dtype=np.int32)
+    moved = np.empty(rows, dtype=np.int32)
 
-    for t in range(turns):
-        if any_stoch_a:
-            advanced = sa + _UG
-            u = _doubles_np(_mix_np(advanced))
-            sa = np.where(stoch_a, advanced, sa)
-            act_a = np.where(stoch_a, (u >= p_a).astype(np.int64), act_a)
-        if t == 0:
-            act_a = np.where(det_a, first_a64, act_a)
-        else:
-            stepped = emit_a[slot_a, cur_a, prev_b].astype(np.int64)
-            landed = next_a[slot_a, cur_a, prev_b]
-            act_a = np.where(det_a, stepped, act_a)
-            cur_a = np.where(det_a, landed, cur_a)
-
-        if any_stoch_b:
-            advanced = sb + _UG
-            u = _doubles_np(_mix_np(advanced))
-            sb = np.where(stoch_b, advanced, sb)
-            act_b = np.where(stoch_b, (u >= p_b).astype(np.int64), act_b)
-        if t == 0:
-            act_b = np.where(det_b, first_b64, act_b)
-        else:
-            stepped = emit_b[slot_b, cur_b, prev_a].astype(np.int64)
-            landed = next_b[slot_b, cur_b, prev_a]
-            act_b = np.where(det_b, stepped, act_b)
-            cur_b = np.where(det_b, landed, cur_b)
-
-        if noise > 0.0:
-            sn = sn + _UG
-            flip_a = _doubles_np(_mix_np(sn)) < noise
-            sn = sn + _UG
-            flip_b = _doubles_np(_mix_np(sn)) < noise
-            act_a = act_a ^ flip_a.astype(np.int64)
-            act_b = act_b ^ flip_b.astype(np.int64)
-
-        out_a[:, t] = act_a
-        out_b[:, t] = act_b
-        prev_a = act_a
-        prev_b = act_b
+    for t0 in range(0, turns, BLOCK_TURNS):
+        count = min(BLOCK_TURNS, turns - t0)
+        bits_a = _bits(coins_a, noise_stream, t0, count, 0)
+        bits_b = _bits(coins_b, noise_stream, t0, count, 1)
+        for k in range(count):
+            if bits_a is not None:
+                entry_a ^= bits_a[k]
+            if bits_b is not None:
+                entry_b ^= bits_b[k]
+            # bit 0 of an entry is now its side's recorded move: swap them
+            np.bitwise_xor(entry_a, entry_b, out=moved)
+            moved &= 1
+            np.bitwise_xor(entry_a, moved, out=key_a[k])
+            np.bitwise_xor(entry_b, moved, out=key_b[k])
+            entry_a = table_a.take(key_a[k], mode="clip")
+            entry_b = table_b.take(key_b[k], mode="clip")
+        np.bitwise_and(key_b[:count].T, 1, out=out_a[:, t0:t0 + count], casting="unsafe")
+        np.bitwise_and(key_a[:count].T, 1, out=out_b[:, t0:t0 + count], casting="unsafe")
 
 
 # ── dispatch ─────────────────────────────────────────────────────────

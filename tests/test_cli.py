@@ -196,6 +196,13 @@ class TestPruneCommand:
         assert "# removed = -" in capsys.readouterr().out
         assert dst.read_text() == serialize_fsm(CLASSIC_FSMS["TitForTat"])
 
+    def test_bad_name_in_the_file_names_its_line(self, tmp_path, capsys):
+        src = _write_fsm(tmp_path, "t", "fsm g,c1\nstart 1 C\n1 C -> 1 C\n1 D -> 1 D\n")
+        assert main(["prune", "--in", str(src), "--out", str(tmp_path / "o.fsm")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {src}: line 1: name 'g,c1' must be a single token without ';' or ','\n")
+        assert not (tmp_path / "o.fsm").exists()
+
     def test_bad_rename_is_data_error(self, tmp_path, capsys):
         src = _write_fsm(tmp_path, "t", serialize_fsm(CLASSIC_FSMS["TitForTat"]))
         assert main(["prune", "--in", str(src), "--out", str(tmp_path / "o.fsm"),

@@ -394,6 +394,17 @@ class TestGenerationLog:
         assert message.endswith("got '3 C'")
         assert message.count("line") == 1
 
+    def test_a_statement_ends_only_at_a_semicolon(self, tmp_path):
+        # \x0c and \u2028 are no line ends: the comment runs to the ';'
+        statements = serialize_fsm_line(CLASSIC_FSMS["TitForTat"]).split(";")
+        statements[0] += " # a note\x0c more\u2028 still"
+        statements[1] = "start 1 Q"
+        path = tmp_path / "gen.log"
+        path.write_text(f"0,1.0,1.0,{';'.join(statements)}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_generation_log(path)
+        assert str(err.value) == f"{path}: line 1: statement 2: expected C or D, got 'Q'"
+
     @pytest.mark.parametrize("indices, got", [([0, 0, 1], 0), ([0, 2, 3], 2)],
                              ids=["duplicate", "gap"])
     def test_reader_requires_consecutive_indices(self, tmp_path, indices, got):

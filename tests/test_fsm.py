@@ -261,6 +261,28 @@ class TestParse:
         with pytest.raises(FsmParseError, match="positive"):
             parse_fsm("fsm x\nstart 0 C\n0 C -> 0 C\n0 D -> 0 C\n")
 
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+    def test_only_newlines_and_returns_end_a_line(self, char):
+        # str.splitlines would end the comment at char and parse ' more'
+        text = f"fsm x\n# a note{char} more\nstart 1 Q\n1 C -> 1 C\n1 D -> 1 D\n"
+        with pytest.raises(FsmParseError, match=r"^line 3: expected C or D, got 'Q'$"):
+            parse_fsm(text)
+        # and a line holding char counts once
+        with pytest.raises(FsmParseError, match=r"^line 1: 'fsm' takes exactly one name token$"):
+            parse_fsm(f"fsm X{char}Y\nstart 1 C\n1 C -> 1 C\n1 D -> 1 D\n")
+
+    def test_returns_end_lines_as_text_mode_reads_them(self):
+        assert parse_fsm("fsm TitForTat\r\nstart 1 C\r1 C -> 1 C\n1 D -> 1 D") == parse_fsm(TFT_TEXT)
+        with pytest.raises(FsmParseError, match=r"^line 4: "):
+            parse_fsm("fsm x\r\nstart 1 C\r1 C -> 1 C\n1 D->1 D\n")
+
+    @pytest.mark.parametrize("name", ["g,c1", "a;b"])
+    def test_bad_name_is_refused_at_its_line(self, name):
+        with pytest.raises(FsmParseError) as err:
+            parse_fsm(f"# machine\nfsm {name}\nstart 1 C\n1 C -> 1 C\n1 D -> 1 D\n")
+        assert str(err.value) == f"line 2: name {name!r} must be a single token without ';' or ','"
+
     @given(spec=fsm_specs(max_states=6))
     @settings(max_examples=60)
     def test_round_trip_random_machines(self, spec):

@@ -1,5 +1,6 @@
 """Stage game, payoff matrix, and match engine."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -214,3 +215,30 @@ def test_swapped_seats_mirror_the_record(a, b):
     assert forward.actions_b == reverse.actions_a
     assert forward.payoff_a == reverse.payoff_b
     assert forward.payoff_b == reverse.payoff_a
+
+
+@st.composite
+def fractional_payoffs(draw):
+    """PayoffMatrix values with fractional parts: s, then positive gaps up to t."""
+    gap = st.floats(0.01, 10.0, allow_nan=False)
+    s = draw(st.floats(-10.0, 10.0, allow_nan=False))
+    p = s + draw(gap)
+    r = p + draw(gap)
+    # 2r > t + s holds for any t below 2r - s
+    t = r + (r - s) * draw(st.floats(0.01, 0.99))
+    return PayoffMatrix(t=t, r=r, p=p, s=s)
+
+
+@given(matrix=fractional_payoffs(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_score_actions_equals_the_two_dimensional_gather(matrix, data):
+    """The flat-table sums are the [own, opponent] table's, bit for bit."""
+    shape = data.draw(st.tuples(st.integers(0, 4), st.integers(1, 40)))
+    codes = st.lists(st.integers(0, 1), min_size=shape[0] * shape[1],
+                     max_size=shape[0] * shape[1])
+    codes_a = np.array(data.draw(codes), dtype=np.int8).reshape(shape)
+    codes_b = np.array(data.draw(codes), dtype=np.int8).reshape(shape)
+    table = matrix.as_array()
+    payoffs_a, payoffs_b = score_actions(codes_a, codes_b, matrix)
+    assert payoffs_a.tobytes() == table[codes_a, codes_b].sum(axis=-1).tobytes()
+    assert payoffs_b.tobytes() == table[codes_b, codes_a].sum(axis=-1).tobytes()

@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 from ipdlab import MatchConfig, default_registry, roster_default
 from ipdlab.game import _play_generic
 from ipdlab.kernels import (
+    BLOCK_TURNS,
+    KIND_RANDOM,
+    Program,
+    _limit,
     _pack,
     active_backend,
     fsm_program,
@@ -17,6 +21,7 @@ from ipdlab.kernels import (
     random_program,
 )
 from ipdlab.rng import derive_seed
+from ipdlab.strategies import FsmStrategy, Random
 
 from conftest import fsm_specs
 
@@ -210,3 +215,70 @@ class TestPlayPairs:
             assert calls == [(pair, rep) for pair in seeded_pairs for rep in range(5)]
             assert acts_a.shape == (len(calls) + (noise == 0), 10)
             assert len(set(index.ravel().tolist())) == acts_a.shape[0]
+
+
+# A side is a machine or the probability p of a coin: (spec, None) or (None, p).
+_machines = fsm_specs(max_states=6).map(lambda spec: (spec, None))
+_coins = st.sampled_from((0.0, 0.5, 1.0)).map(lambda p: (None, p))
+
+
+def _side_program(side):
+    spec, p = side
+    return random_program(p) if spec is None else fsm_program(spec)
+
+
+def _side_strategy(side):
+    spec, p = side
+    return Random(p) if spec is None else FsmStrategy(spec)
+
+
+class TestBlockEdges:
+    """Draws are made BLOCK_TURNS turns at a time; a match must not see where."""
+
+    @pytest.mark.parametrize("coins_on", ["A", "B", "AB"], ids=["A", "B", "both"])
+    @given(
+        data=st.data(),
+        rows=st.lists(st.tuples(st.one_of(_machines, _coins), st.one_of(_machines, _coins)),
+                      max_size=4),
+        turns=st.sampled_from((1, BLOCK_TURNS - 1, BLOCK_TURNS, BLOCK_TURNS + 1,
+                               2 * BLOCK_TURNS + 1, 200)),
+        noise=st.sampled_from((0.0, 0.1, 1.0)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_the_generic_loop(self, coins_on, data, rows, turns, noise):
+        # the first row holds the coin(s) named by coins_on; the others are drawn
+        first = tuple(data.draw(_coins if side in coins_on else _machines) for side in "AB")
+        rows = [first] + rows
+        seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=len(rows),
+                                   max_size=len(rows)))
+        out_a, out_b = play_batch([_side_program(a) for a, _ in rows],
+                                  [_side_program(b) for _, b in rows], turns, noise, seeds)
+        for row, ((side_a, side_b), seed) in enumerate(zip(rows, seeds)):
+            gen_a, gen_b, _, _ = _play_generic(_side_strategy(side_a), _side_strategy(side_b),
+                                               MatchConfig(turns=turns, noise=noise, seed=seed))
+            assert out_a[row].tolist() == [int(a) for a in gen_a], row
+            assert out_b[row].tolist() == [int(b) for b in gen_b], row
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_a_coin_ignores_the_tables_of_its_program(self, e6, noise):
+        # a Random program's tables are never stepped: filled-in ones play
+        # the coin of all-zero ones, next to machines that pad the batch
+        machine = fsm_program(e6)
+        cells = machine.emit.size
+        filled = Program(KIND_RANDOM, [1] * cells, [1] * cells, 2, 1, 0.5)
+        plain = random_program(0.5)
+        turns = 2 * BLOCK_TURNS + 1
+        want_a, want_b = play_batch([plain, machine], [machine, plain], turns, noise, [4, 5])
+        got_a, got_b = play_batch([filled, machine], [machine, filled], turns, noise, [4, 5])
+        assert np.array_equal(got_a, want_a)
+        assert np.array_equal(got_b, want_b)
+
+
+@given(level=st.one_of(st.sampled_from((0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53, 1.0)),
+                       st.floats(0.0, 1.0)))
+def test_limit_is_the_integer_form_of_a_double_below_level(level):
+    # m * 2**-53 is a draw's double; m < _limit(level) must say m * 2**-53 < level
+    limit = int(_limit(level))
+    for m in (limit - 1, limit):
+        if 0 <= m < 2 ** 53:
+            assert (m * 2.0 ** -53 < level) == (m < limit)
