@@ -22,6 +22,7 @@ not name the same file.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -261,6 +262,8 @@ def _cmd_tournament(args) -> CommandOutcome:
 
 def _cmd_evolve(args) -> CommandOutcome:
     _refuse_shared_outputs(("--log", args.log), ("--out", args.out))
+    if args.jump_threshold is not None and math.isnan(args.jump_threshold):
+        raise ValueError(f"--jump-threshold must be a number, got {args.jump_threshold}")
     reg, roster_names = _resolve_roster(args.roster, default_registry())
     params = EvolutionParams(
         generations=args.generations,

@@ -19,8 +19,8 @@ be re-rolled into a different score.
 """
 
 import hashlib
+import math
 import os
-import statistics
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
@@ -95,12 +95,27 @@ _Genome = namedtuple("_Genome", "name ids program key")
 def _genome(name, ids, program, key=None) -> _Genome:
     """The loop's form; key, unless given, is genome_key rendered from program."""
     if key is None:
-        cells = zip(program.next_state.ravel().tolist(), program.emit.ravel().tolist())
-        rows = [f"fsm _\nstart {ids[program.start]} {'CD'[program.first]}"]
-        rows.extend(f"{ids[cell >> 1]} {'CD'[cell & 1]} -> {ids[target]} {'CD'[own]}"
-                    for cell, (target, own) in enumerate(cells))
-        key = hashlib.sha256(("\n".join(rows) + "\n").encode("utf-8")).hexdigest()
+        codes = (2 * program.next_state + program.emit).ravel().tolist()
+        key = _keys([ids], [codes], [2 * program.start + program.first])[0]
     return _Genome(name, ids, program, key)
+
+
+def _keys(ids_of, codes, openings) -> list:
+    """genome_key of machine i, whose state ids are ids_of[i], with codes[i][2
+    * state + opponent's move] = 2 * target + own move and openings[i] = 2 *
+    start + first move.  Lines come from tables made once per distinct ids."""
+    tables, keys = {}, []
+    for ids, row, opening in zip(ids_of, codes, openings):
+        if ids not in tables:
+            ends = [f"{ids[code >> 1]} {'CD'[code & 1]}\n" for code in range(2 * len(ids))]
+            text = ["fsm _\nstart ", None] + [None] * (2 * len(ends))
+            text[2::2] = [end[:-1] + " -> " for end in ends]
+            tables[ids] = ends, text
+        ends, text = tables[ids]
+        text[1] = ends[opening]
+        text[3::2] = map(ends.__getitem__, row)
+        keys.append(hashlib.sha256("".join(text).encode("utf-8")).hexdigest())
+    return keys
 
 
 def _from_spec(spec: FsmSpec, key=None) -> _Genome:
@@ -126,9 +141,8 @@ def _mutate_all(parents, rate: float, rngs, names) -> list:
     if not parents:
         return []
     n, rows = len(parents[0].ids), np.arange(len(parents))
-    steps = np.arange(1, 6 * n + 2, dtype=np.uint64) * kernels._UG
-    draws = kernels._mix_np(np.array([rng.state for rng in rngs], dtype=np.uint64)[:, None] + steps)
-    fires = kernels._doubles_np(draws) < rate
+    draws = kernels._draws(np.array([rng.state for rng in rngs], dtype=np.uint64), 1, 6 * n + 1).T
+    fires = (draws >> kernels._S11) < kernels._limit(rate)  # each double < rate
     targets = (draws % np.uint64(n)).astype(np.int64)
     next_state = np.array([parent.program.next_state.ravel() for parent in parents])
     emit = np.array([parent.program.emit.ravel() for parent in parents])
@@ -139,12 +153,14 @@ def _mutate_all(parents, rate: float, rngs, names) -> list:
         retarget = fires[rows, p + 1]
         next_state[:, cell] = np.where(retarget, targets[rows, p + 2], next_state[:, cell])
         p += 2 + retarget
-    firsts = fires[rows, p].tolist()
+    firsts = [parent.program.first ^ fire for parent, fire in zip(parents, fires[rows, p].tolist())]
     for rng, used in zip(rngs, (p + 1).tolist()):
         rng.state = (rng.state + used * GOLDEN) & MASK64
-    return [_genome(name, parent.ids,
+    keys = _keys([parent.ids for parent in parents], (2 * next_state + emit).tolist(),
+                 [2 * parent.program.start + first for parent, first in zip(parents, firsts)])
+    return [_Genome(name, parent.ids,
                     kernels.Program(kernels.KIND_FSM, next_state[i], emit[i], parent.program.start,
-                                    parent.program.first ^ firsts[i], 0.0))
+                                    firsts[i], 0.0), keys[i])
             for i, (parent, name) in enumerate(zip(parents, names))]
 
 
@@ -229,9 +245,9 @@ def _batch_fitness(genomes, params: EvolutionParams, registry) -> list:
     row_totals, _ = score_actions(acts_a, acts_b)
     totals = row_totals[index].reshape(len(genomes), len(opponents), params.repetitions).sum(axis=1)
 
+    # math.fsum(row) / len(row) is what statistics.fmean(row) computes
     denominator = params.turns * len(opponents)
-    return [statistics.fmean(total / denominator for total in genome_totals)
-            for genome_totals in totals]
+    return [math.fsum(row) / params.repetitions for row in (totals / denominator).tolist()]
 
 
 def batch_fitness(specs, params: EvolutionParams, registry=None, keys=None) -> list:
@@ -288,7 +304,6 @@ def evolve(seed_genomes, params: EvolutionParams, registry=None, log_stream=None
         population.append(_random(params.num_states, init_rng, name=f"rand{i}"))
 
     cache = {}
-
     records = []
     best_ever = None
     for gen in range(params.generations + 1):
@@ -297,12 +312,8 @@ def evolve(seed_genomes, params: EvolutionParams, registry=None, log_stream=None
         fits = [cache[genome.key] for genome in population]
         order = sorted(range(len(population)), key=lambda i: (-fits[i], i))
         champion = order[0]
-        record = GenerationRecord(
-            index=gen,
-            best_fitness=fits[champion],
-            mean_fitness=statistics.fmean(fits),
-            best_genome=_to_spec(population[champion]),
-        )
+        record = GenerationRecord(gen, fits[champion], math.fsum(fits) / len(fits),
+                                  _to_spec(population[champion]))
         records.append(record)
         if log_stream is not None:
             log_stream.write(render_generation_line(record) + "\n")
@@ -416,6 +427,8 @@ def generation_deltas(log, threshold: float) -> list:
     Returns (position in log, delta) for each consecutive pair whose
     mean_fitness difference is >= threshold.
     """
+    if math.isnan(threshold):
+        raise ValueError(f"threshold must be a number, got {threshold}")
     if len(log) < 2:
         raise ValueError("need at least two generation records to take deltas")
     out = []

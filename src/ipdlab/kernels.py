@@ -18,9 +18,11 @@ table step alone: one gather per side from a flat table of
 Random row steps an all-zero table, so its coin alone decides its move.
 """
 
+from operator import itemgetter
+
 import numpy as np
 
-from .rng import DOUBLE_UNIT, GOLDEN, MASK64, MIX1, MIX2
+from .rng import GOLDEN, MASK64, MIX1, MIX2
 
 KIND_FSM = 0
 KIND_RANDOM = 1
@@ -113,11 +115,6 @@ def _pack(programs):
 # ── kernel ───────────────────────────────────────────────────────────
 
 
-def _mix_np(z):
-    """mix64 of every element of a uint64 array, as a new array."""
-    return _mix_in_place(z.copy())
-
-
 def _mix_in_place(z):
     """mix64 of every element of a uint64 array, written over it."""
     z ^= z >> _S30
@@ -126,10 +123,6 @@ def _mix_in_place(z):
     z *= _M2
     z ^= z >> _S31
     return z
-
-
-def _doubles_np(z):
-    return (z >> _S11).astype(np.float64) * DOUBLE_UNIT
 
 
 def _limit(level):
@@ -169,7 +162,7 @@ def _step_table(kind, next_state, emit, start, first, slot):
 def _coins(kind, p, slot, seeds, tag):
     """One side's Random rows, their streams' states and their limits of p."""
     rows = np.flatnonzero(kind[slot] == KIND_RANDOM)
-    return rows, _mix_np(seeds[rows] + tag), _limit(p[slot[rows]])
+    return rows, _mix_in_place(seeds[rows] + tag), _limit(p[slot[rows]])
 
 
 def _bits(coins, noise_stream, t0, count, side):
@@ -203,7 +196,7 @@ def _batch_numpy(kind_a, next_a, emit_a, start_a, first_a, p_a, slot_a,
     table_b, entry_b = _step_table(kind_b, next_b, emit_b, start_b, first_b, slot_b)
     coins_a = _coins(kind_a, p_a, slot_a, seeds, _TAG1)
     coins_b = _coins(kind_b, p_b, slot_b, seeds, _TAG2)
-    noise_stream = (_mix_np(seeds + _TAG3), _limit(noise))
+    noise_stream = (_mix_in_place(seeds + _TAG3), _limit(noise))
     # key_a[k] is A's table key after turn t0 + k: its bit 0 is B's recorded move
     key_a = np.empty((BLOCK_TURNS, rows), dtype=np.int32)
     key_b = np.empty((BLOCK_TURNS, rows), dtype=np.int32)
@@ -241,7 +234,9 @@ def play_batch(progs_a, progs_b, turns, noise, seeds):
     if not (len(progs_a) == len(progs_b) == len(seeds)):
         raise ValueError("progs_a, progs_b and seeds must have equal length")
 
-    seed_arr = np.asarray(list(seeds), dtype=np.uint64)
+    # a seed outside [0, 2**64) plays as substream reads it, mod 2**64
+    seed_arr = (seeds.astype(np.uint64, copy=False) if isinstance(seeds, np.ndarray)
+                else np.array([seed & MASK64 for seed in seeds], dtype=np.uint64))
     count = seed_arr.shape[0]
     out_a = np.zeros((count, turns), dtype=np.int8)
     out_b = np.zeros((count, turns), dtype=np.int8)
@@ -273,8 +268,10 @@ def play_pairs(pairs, repetitions, turns, noise, seed_of):
     seeds[index[~shared].ravel()] = np.array(
         [seed_of(pair, rep) for pair in np.flatnonzero(~shared).tolist() for rep in range(repetitions)],
         dtype=np.uint64)
-    progs = np.repeat(np.array(pairs, dtype=object).reshape(-1, 2), played, axis=0)
-    acts_a, acts_b = play_batch(progs[:, 0], progs[:, 1], turns, noise, seeds)
+    # fromiter, unlike np.array, does not probe each Program for a sequence
+    progs_a, progs_b = (np.repeat(np.fromiter(map(itemgetter(side), pairs), object, len(pairs)), played)
+                        for side in (0, 1))
+    acts_a, acts_b = play_batch(progs_a, progs_b, turns, noise, seeds)
     return acts_a, acts_b, index
 
 

@@ -76,6 +76,6 @@ def derive_seed(*parts) -> int:
     versions (unlike hash()).  Parts are joined with an ASCII unit
     separator to keep ("ab", "c") and ("a", "bc") distinct.
     """
-    data = "\x1f".join(str(p) for p in parts).encode("utf-8")
+    data = "\x1f".join(map(str, parts)).encode("utf-8")
     digest = hashlib.blake2b(data, digest_size=8).digest()
     return int.from_bytes(digest, "little")

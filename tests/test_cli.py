@@ -563,6 +563,15 @@ class TestEvolveCommand:
         # an impossible-to-miss threshold reports both deltas
         assert out.count("# jump at generation") == 2
 
+    def test_nan_jump_threshold_is_refused_before_the_search(self, tmp_path, capsys):
+        # no delta is >= nan, so the report would be silently empty
+        log = tmp_path / "gen.log"
+        assert main([*self.ARGS, "--log", str(log), "--jump-threshold", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --jump-threshold must be a number, got nan\n"
+        assert captured.out == ""
+        assert not log.exists()
+
 
 class TestAtomicWrites:
     @pytest.mark.parametrize("argv, flags, path", [

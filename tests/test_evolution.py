@@ -2,8 +2,10 @@
 
 import hashlib
 import io
+import statistics
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,9 @@ from ipdlab import (
     roster_default,
     validate_fsm,
 )
+from ipdlab import kernels
 from ipdlab.evolution import (
+    _batch_fitness,
     _from_spec,
     _mutate,
     _mutate_all,
@@ -34,8 +38,9 @@ from ipdlab.evolution import (
     render_generation_line,
 )
 from ipdlab.fsm import serialize_fsm, serialize_fsm_line
-from ipdlab.rng import SplitMix64
-from ipdlab.strategies import CLASSIC_FSMS
+from ipdlab.game import score_actions
+from ipdlab.rng import SplitMix64, derive_seed
+from ipdlab.strategies import CLASSIC_FSMS, default_registry
 
 from conftest import fsm_specs
 
@@ -285,6 +290,31 @@ class TestBatchFitness:
     def test_empty_batch(self):
         assert batch_fitness([], _params()) == []
 
+    @given(
+        genomes=st.lists(fsm_specs(max_states=5), min_size=1, max_size=4),
+        noise=st.sampled_from((0.0, 0.05)),
+        repetitions=st.integers(1, 12),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_means_keep_the_bits_of_statistics_fmean(self, genomes, noise, repetitions, seed):
+        roster, turns = ("Random", "TitForTat", "EvolvedFSM6"), 7
+        params = _params(opponent_roster=roster, turns=turns, repetitions=repetitions,
+                         noise=noise, seed=seed)
+        registry = default_registry()
+        expected = []
+        for genome in genomes:
+            root = derive_seed(seed, "fitness", genome_key(genome))
+            totals = []
+            for rep in range(repetitions):
+                scores = [score_actions(*kernels.play_one(
+                    kernels.fsm_program(genome), registry.get(name).program, turns, noise,
+                    derive_seed(root, "opp", idx, rep)))[0] for idx, name in enumerate(roster)]
+                totals.append(sum(scores))
+            expected.append(statistics.fmean(total / (turns * len(roster)) for total in totals))
+        values = _batch_fitness([_from_spec(genome) for genome in genomes], params, registry)
+        assert np.array(values).tobytes() == np.array(expected).tobytes()
+
 
 class TestEvolve:
     def test_zero_generations_scores_the_seeds_once(self, e6):
@@ -470,3 +500,7 @@ class TestGenerationDeltas:
     def test_single_record_log_rejected(self):
         with pytest.raises(ValueError, match="at least two"):
             generation_deltas(self._log([2.0]), 0.1)
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="threshold must be a number, got nan"):
+            generation_deltas(self._log([1.0, 1.5]), float("nan"))

@@ -167,6 +167,14 @@ class TestPlayMatch:
         trace = trace_match(builtin_strategy("Defector")(), _NoProgram(), cfg)
         assert trace.record.actions_b == "CDDD"
 
+    @pytest.mark.parametrize("seed", [-1, 2**64 - 1, 2**64, 2**70 + 3])
+    def test_seed_outside_64_bits_plays_as_trace_match_does(self, seed):
+        # substream reduces a seed mod 2**64, so both engines must
+        cfg = MatchConfig(turns=5, noise=0.1, seed=seed)
+        record = _play("Random", "TitForTat", turns=5, noise=0.1, seed=seed)
+        trace = trace_match(builtin_strategy("Random")(), builtin_strategy("TitForTat")(), cfg)
+        assert record == trace.record
+
 
 class TestTraceMatch:
     def test_fsm_state_trajectory_exposed(self):

@@ -1,0 +1,119 @@
+"""Single-byte edits to the files the package reads back: history dumps,
+generation logs and FSM files.
+
+An edited file either reads or is refused with a ValueError whose message
+starts with the file's path and the line at fault.
+"""
+
+import re
+from importlib import resources
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ipdlab import (
+    EvolutionParams,
+    FsmValidationError,
+    TournamentConfig,
+    evolve,
+    load_fsm_file,
+    read_generation_log,
+    read_history_dump,
+    run_tournament,
+)
+from ipdlab.evolution import render_generation_line
+from ipdlab.tournament import render_history_dump
+
+DUMP = render_history_dump(run_tournament(TournamentConfig(
+    roster=("Random", "TitForTat", "Defector"), turns=6, repetitions=2, noise=0.1, master_seed=3,
+))).encode()
+LOG = "".join(render_generation_line(record) + "\n" for record in evolve([], EvolutionParams(
+    generations=3, num_states=3, population_size=4, bottleneck=2, turns=5, repetitions=1,
+    opponent_roster=("TitForTat", "Random"),
+))[1]).encode()
+FSM = (resources.files("ipdlab") / "data" / "EvolvedFSM6.fsm").read_bytes()
+
+# (kind, position, byte): a replace adds byte to the old one mod 256, so it changes it
+EDITS = st.tuples(st.sampled_from(("replace", "insert", "delete")),
+                  st.integers(min_value=0), st.integers(min_value=1, max_value=255))
+
+_FIXTURE = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _edit(data, kind, where, byte):
+    """data after one edit, and the edit's position in it."""
+    if kind == "insert":
+        where %= len(data) + 1
+        return data[:where] + bytes([byte]) + data[where:], where
+    where %= len(data)
+    if kind == "delete":
+        return data[:where] + data[where + 1:], where
+    return data[:where] + bytes([(data[where] + byte) % 256]) + data[where + 1:], where
+
+
+def _read(reader, tmp_path, data):
+    """(path, what reader returns, None) or (path, None, its ValueError)."""
+    path = tmp_path / "edited"
+    path.write_bytes(data)
+    try:
+        return path, reader(path), None
+    except ValueError as exc:
+        return path, None, exc
+
+
+def _names_its_line(path, error) -> bool:
+    return re.match(re.escape(f"{path}: line ") + r"[1-9]\d*: ", str(error)) is not None
+
+
+def _dump_field(kind, where):
+    """Index of the DUMP field that an edit at where changes, or None for
+    a '|' or a line end.  An insert at either end of a field extends it."""
+    start = DUMP.rfind(b"\n", 0, where) + 1
+    end = DUMP.find(b"\n", start)
+    offset = where - start
+    for field, text in enumerate(DUMP[start:end if end >= 0 else len(DUMP)].split(b"|")):
+        if offset < 0:
+            return None
+        if offset < len(text) + (kind == "insert"):
+            return field
+        offset -= len(text) + 1
+    return None
+
+
+@_FIXTURE
+@given(edit=EDITS)
+def test_an_edited_history_dump_reads_or_names_its_line(tmp_path, edit):
+    kind, where, byte = edit
+    data, where = _edit(DUMP, kind, where, byte)
+    path, histories, error = _read(read_history_dump, tmp_path, data)
+    if error is not None:
+        assert _names_its_line(path, error), str(error)
+        return
+    field = _dump_field(kind, where)
+    if field in (3, 4):
+        # the reader does not recompute payoffs, so only a C/D swap reads
+        assert kind == "replace" and {DUMP[where], data[where]} == set(b"CD")
+    elif field in (5, 6):
+        # an edited payoff reads as the number its text now spells
+        start = data.rfind(b"\n", 0, where) + 1
+        parts = re.split(b"[\r\n]", data[start:], maxsplit=1)[0].decode().split("|")
+        record = histories[(parts[0], parts[1], int(parts[2]))]
+        assert (record.payoff_a, record.payoff_b)[field - 5] == float(parts[field])
+
+
+@_FIXTURE
+@given(edit=EDITS)
+def test_an_edited_generation_log_reads_or_names_its_line(tmp_path, edit):
+    path, _, error = _read(read_generation_log, tmp_path, _edit(LOG, *edit)[0])
+    if error is not None:
+        assert _names_its_line(path, error), str(error)
+
+
+@_FIXTURE
+@given(edit=EDITS)
+def test_an_edited_fsm_file_reads_or_names_its_line(tmp_path, edit):
+    path, _, error = _read(load_fsm_file, tmp_path, _edit(FSM, *edit)[0])
+    if error is not None:
+        assert str(error).startswith(f"{path}: ")
+        # a violation of the whole machine, such as a dangling target, has no line
+        assert isinstance(error, FsmValidationError) or _names_its_line(path, error), str(error)
