@@ -139,6 +139,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+_PARSER = None  # built on the first cli_main call; parse_args keeps no state in it
+
+
+def _parser() -> _Parser:
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 # ── shared helpers ───────────────────────────────────────────────────
 
 
@@ -417,7 +427,7 @@ _COMMANDS = {
 
 def cli_main(argv) -> CommandOutcome:
     """Parse and run one command; never raises for user-level problems."""
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -247,13 +247,71 @@ def read_history_dump(path) -> dict:
     """Parse a history dump back into the histories mapping shape.
 
     Refuses, naming the file and line, what render_history_dump never
-    writes: a wrong field count, action text that is empty, holds a letter
-    other than C and D or differs in length between the seats, a
-    repetition that is not plain digits, a payoff that is not a finite
-    number, and a match named twice.
+    writes: a wrong field count, an empty strategy name, action text that
+    is empty, holds a letter other than C and D or differs in length
+    between the seats, a repetition that is not plain digits, a payoff
+    that is not a finite number, and a match named twice.
+
+    The file is read whole, cut into fields, and each rule is checked on
+    a whole column of them.  If a check fails, or the file is not UTF-8
+    or does not end in a line end, its lines are walked one by one
+    instead, so a refusal names the first bad line and the first rule it
+    breaks.  A file that passes the column checks reads as the walk reads it.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        # the line walk reads the file as a stream, so a bad line before the
+        # undecodable byte is named first
+        return _read_dump_lines(path, read_lines(path))
+    histories = _dump_columns(text)
+    if histories is None:
+        return _read_dump_lines(path, text.split("\n"))
+    return histories
+
+
+def _dump_columns(text):
+    """The histories mapping of a dump's text, or None if the text does not
+    end in a line end or a line breaks a rule of read_history_dump."""
+    matches = text.count("\n")
+    fields = text.split("|")
+    # Each of fields[6::6] is one line's last field, its '\n' and the next
+    # line's first field.  With 6 '|' per line in all, every line holds 6
+    # exactly when each of these holds a '\n'.
+    joints = fields[6::6]
+    if not (text.endswith("\n") and len(fields) == 6 * matches + 1
+            and all("\n" in joint for joint in joints)):
+        return None
+    ends = "\n".join(joints).split("\n")  # payoff b, next line's name a, ..., ''
+    names_a, pays_b = fields[:1] + ends[1:-1:2], ends[::2]
+    names_b, reps, acts_a, acts_b, pays_a = (fields[k::6] for k in range(1, 6))
+    if not (all(names_a) and all(names_b) and all(reps) and all(acts_a) and all(acts_b)):
+        return None
+    if "".join(acts_a + acts_b).encode().translate(None, b"CD"):
+        return None
+    rep_text = "".join(reps)
+    if not (rep_text.isascii() and rep_text.isdigit()):
+        return None
+    if list(map(len, acts_a)) != list(map(len, acts_b)):
+        return None
+    try:  # int() refuses a repetition longer than sys.get_int_max_str_digits()
+        payoffs_a, payoffs_b = list(map(float, pays_a)), list(map(float, pays_b))
+        repetitions = list(map(int, reps))
+    except ValueError:
+        return None
+    if not (all(map(math.isfinite, payoffs_a)) and all(map(math.isfinite, payoffs_b))):
+        return None
+    histories = dict(zip(zip(names_a, names_b, repetitions),
+                         map(MatchRecord, acts_a, acts_b, payoffs_a, payoffs_b)))
+    return histories if len(histories) == matches else None
+
+
+def _read_dump_lines(path, lines) -> dict:
+    """read_history_dump one line at a time: lines are the dump's lines,
+    numbered from 1, with or without their '\\n'."""
     histories = {}
-    for line_number, raw in enumerate(read_lines(path), start=1):
+    for line_number, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if not line:
             continue
@@ -264,6 +322,11 @@ def read_history_dump(path) -> dict:
                 f"fields, got {len(parts)}"
             )
         name_a, name_b, rep_str, acts_a, acts_b, pay_a, pay_b = parts
+        for name in (name_a, name_b):
+            if not name:
+                raise ValueError(
+                    f"{path}: line {line_number}: expected a strategy name, got {name!r}"
+                )
         for acts in (acts_a, acts_b):
             if not acts or acts.translate(_DROP_CD):
                 raise ValueError(

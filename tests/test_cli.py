@@ -9,6 +9,7 @@ from importlib import resources
 import pytest
 
 import ipdlab
+from ipdlab import cli
 from ipdlab.cli import main
 from ipdlab.evolution import read_generation_log, render_generation_line
 from ipdlab.fsm import serialize_fsm
@@ -176,6 +177,37 @@ class TestExitCodes:
 
     def test_bad_config_value_is_data_error(self, capsys):
         assert main(["tournament", "--roster", "Cooperator,Defector", "--turns", "0"]) == 2
+
+
+TINY_EVOLVE = ["evolve", "--generations", "1", "--num-states", "2", "--population-size", "4",
+               "--bottleneck", "2", "--turns", "3", "--repetitions", "1", "--roster", "TitForTat"]
+
+
+class TestParserReuse:
+    """Every main() call of a process parses with one parser, built on first use."""
+
+    @pytest.mark.parametrize("first, second", [
+        ([*TINY_EVOLVE, "--seed-fsm", "{fsm}"], TINY_EVOLVE),
+        (["tournament", "--bogus", "3"], ["tournament", *SMALL]),
+        (["--help"], ["tournament", *SMALL]),
+        (["evolve", "--help"], TINY_EVOLVE),
+    ], ids=["seed_fsm_then_none", "usage_error_then_valid", "help_then_valid",
+            "command_help_then_valid"])
+    def test_a_call_leaves_nothing_for_the_next(self, tmp_path, monkeypatch, capsys,
+                                                first, second):
+        fsm = _write_fsm(tmp_path, "Seed", "fsm Seed\nstart 1 C\n1 C -> 1 C\n1 D -> 1 D\n")
+        calls = [[arg.format(fsm=fsm) for arg in argv] for argv in (first, second)]
+        fresh = []
+        for argv in calls:
+            monkeypatch.setattr(cli, "_PARSER", None)
+            fresh.append((main(argv), capsys.readouterr()))
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        shared = [(main(calls[0]), capsys.readouterr())]
+        parser = cli._PARSER
+        shared.append((main(calls[1]), capsys.readouterr()))
+        assert parser is not None and cli._PARSER is parser
+        assert shared == fresh
 
 
 class TestPruneCommand:

@@ -2,7 +2,8 @@
 generation logs and FSM files.
 
 An edited file either reads or is refused with a ValueError whose message
-starts with the file's path and the line at fault.
+starts with the file's path and the line at fault.  The history dump's
+column check must read every edited dump as its line walk does.
 """
 
 import re
@@ -22,11 +23,13 @@ from ipdlab import (
     run_tournament,
 )
 from ipdlab.evolution import render_generation_line
-from ipdlab.tournament import render_history_dump
+from ipdlab.fsm import read_lines
+from ipdlab.tournament import _dump_columns, _read_dump_lines, render_history_dump
 
-DUMP = render_history_dump(run_tournament(TournamentConfig(
+RESULT = run_tournament(TournamentConfig(
     roster=("Random", "TitForTat", "Defector"), turns=6, repetitions=2, noise=0.1, master_seed=3,
-))).encode()
+))
+DUMP = render_history_dump(RESULT).encode()
 LOG = "".join(render_generation_line(record) + "\n" for record in evolve([], EvolutionParams(
     generations=3, num_states=3, population_size=4, bottleneck=2, turns=5, repetitions=1,
     opponent_roster=("TitForTat", "Random"),
@@ -99,6 +102,43 @@ def test_an_edited_history_dump_reads_or_names_its_line(tmp_path, edit):
         parts = re.split(b"[\r\n]", data[start:], maxsplit=1)[0].decode().split("|")
         record = histories[(parts[0], parts[1], int(parts[2]))]
         assert (record.payoff_a, record.payoff_b)[field - 5] == float(parts[field])
+
+
+# DUMP with each line end the reader accepts, without its last one and with blank
+# lines, and a dump whose names and repetitions one deletion empties
+DUMPS = (DUMP, DUMP.replace(b"\n", b"\r\n"), DUMP.replace(b"\n", b"\r"), DUMP[:-1],
+         b"\n" + DUMP.replace(b"\n", b"\n\n", 3) + b"\r\n",
+         b"A|B|0|CD|DC|5|5\nA|B|1|DD|CD|6|1\n")
+
+
+def _outcome(reader, path):
+    """The (key, record) pairs reader returns, in order, or its message."""
+    try:
+        return list(reader(path).items())
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_a_dump_as_written_takes_the_column_check():
+    assert list(_dump_columns(DUMP.decode()).items()) == list(RESULT.histories.items())
+
+
+def _assert_read_as_the_line_walk_reads(tmp_path, data):
+    path = tmp_path / "edited"
+    path.write_bytes(data)
+    assert _outcome(read_history_dump, path) == _outcome(
+        lambda path: _read_dump_lines(path, read_lines(path)), path)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dump=st.sampled_from(DUMPS), edit=EDITS)
+def test_the_column_check_reads_an_edited_dump_as_the_line_walk_does(tmp_path, dump, edit):
+    _assert_read_as_the_line_walk_reads(tmp_path, _edit(dump, *edit)[0])
+
+
+def test_a_repetition_too_long_for_int_comes_after_an_earlier_line_fault(tmp_path):
+    _assert_read_as_the_line_walk_reads(
+        tmp_path, b"A|B|0|C|C|3|3\nA|B|0|C|C|3|3\nA|B|" + b"1" * 5000 + b"|C|C|3|3\n")
 
 
 @_FIXTURE

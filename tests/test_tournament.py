@@ -239,6 +239,24 @@ class TestHistoryDump:
         with pytest.raises(ValueError, match="line 2.*7 pipe-separated"):
             read_history_dump(path)
 
+    @pytest.mark.parametrize("line", ["|B|0|CC|DD|0|10", "A||0|CC|DD|0|10"],
+                             ids=["name_a", "name_b"])
+    def test_reader_refuses_an_empty_strategy_name(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"A|B|1|CC|CC|6|6\n{line}\n")
+        with pytest.raises(ValueError) as err:
+            read_history_dump(path)
+        assert str(err.value) == f"{path}: line 2: expected a strategy name, got ''"
+
+    def test_reader_counts_fields_per_line_not_per_file(self, tmp_path):
+        # 13 fields and 1 hold the 14 of two lines, and each field reads if
+        # the file is cut into fields without regard to its lines
+        path = tmp_path / "bad.txt"
+        path.write_text("A|B|0|CC|DD|1|2|B|1|CC|DD|3|X\n4\n")
+        with pytest.raises(ValueError) as err:
+            read_history_dump(path)
+        assert str(err.value) == f"{path}: line 1: expected 7 pipe-separated fields, got 13"
+
     def test_reader_rejects_bad_action_characters(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("A|B|0|CX|CC|6|6\n")
