@@ -21,6 +21,7 @@ a machine about its own state.
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,10 +100,10 @@ class MatchConfig:
             raise ValueError(f"noise must lie in [0, 1], got {self.noise}")
 
 
-@dataclass(frozen=True)
-class MatchRecord:
+class MatchRecord(NamedTuple):
     """Full transcript of one match: recorded actions as C/D text, one
-    letter per turn (the history dump's form), and payoff totals."""
+    letter per turn (the history dump's form), and payoff totals.  It is an
+    immutable named tuple, equal to the plain tuple of its four fields."""
 
     actions_a: str
     actions_b: str
@@ -119,15 +120,14 @@ def score_actions(codes_a, codes_b, matrix: PayoffMatrix = DEFAULT_PAYOFFS) -> t
     return table[2 * codes_a + codes_b].sum(axis=-1), table[2 * codes_b + codes_a].sum(axis=-1)
 
 
-_LETTERS = np.frombuffer(b"CD", np.uint8)
-
-
 def match_records(codes_a, codes_b, matrix: PayoffMatrix = DEFAULT_PAYOFFS) -> list:
     """One MatchRecord per row of two (matches, turns) blocks of action codes."""
     codes_a, codes_b = np.asarray(codes_a), np.asarray(codes_b)
-    # each row of letters, viewed as one fixed-width byte string
-    text_a, text_b = (_LETTERS[codes].view(f"S{codes.shape[1]}").astype(str).ravel().tolist()
-                      for codes in (codes_a, codes_b))
+    turns = codes_a.shape[1]
+    # C and D are adjacent in ASCII, so each block renders as one text, cut into rows
+    texts = ((codes.astype(np.uint8) + ord("C")).tobytes().decode("ascii")
+             for codes in (codes_a, codes_b))
+    text_a, text_b = ([text[i:i + turns] for i in range(0, len(text), turns)] for text in texts)
     payoffs_a, payoffs_b = score_actions(codes_a, codes_b, matrix)
     return list(map(MatchRecord, text_a, text_b, payoffs_a.tolist(), payoffs_b.tolist()))
 

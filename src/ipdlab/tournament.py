@@ -249,8 +249,9 @@ def read_history_dump(path) -> dict:
     Refuses, naming the file and line, what render_history_dump never
     writes: a wrong field count, an empty strategy name, action text that
     is empty, holds a letter other than C and D or differs in length
-    between the seats, a repetition that is not plain digits, a payoff
-    that is not a finite number, and a match named twice.
+    between the seats, a repetition that is not plain digits or has more
+    digits than int() reads, a payoff that is not a finite number, and a
+    match named twice.
 
     The file is read whole, cut into fields, and each rule is checked on
     a whole column of them.  If a check fails, or the file is not UTF-8
@@ -350,7 +351,10 @@ def _read_dump_lines(path, lines) -> dict:
             raise ValueError(
                 f"{path}: line {line_number}: action strings differ in length"
             )
-        key = (name_a, name_b, int(rep_str))
+        try:  # int() refuses a repetition longer than sys.get_int_max_str_digits()
+            key = (name_a, name_b, int(rep_str))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_number}: {exc}") from None
         if key in histories:
             raise ValueError(
                 f"{path}: line {line_number}: duplicate match {name_a}|{name_b}|{rep_str}"

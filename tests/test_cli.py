@@ -331,6 +331,15 @@ class TestRatesCommand:
         assert main(["rates", "--in", str(hist), "--player", "A"]) == 2
         assert capsys.readouterr().err == f"error: {hist}: line 2: {message}\n"
 
+    def test_repetition_too_long_for_int_is_data_error(self, tmp_path, capsys):
+        hist = tmp_path / "hist.txt"
+        rep = "1" * 5000
+        hist.write_text(f"A|B|5|CC|CC|6|6\nA|B|{rep}|CC|DD|0|10\n")
+        with pytest.raises(ValueError) as int_error:
+            int(rep)
+        assert main(["rates", "--in", str(hist), "--player", "A"]) == 2
+        assert capsys.readouterr().err == f"error: {hist}: line 2: {int_error.value}\n"
+
 
 class TestEvolveCommand:
     ARGS = ["evolve", "--generations", "3", "--num-states", "4",

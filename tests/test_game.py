@@ -10,9 +10,12 @@ from ipdlab import (
     DEFAULT_PAYOFFS,
     FsmStrategy,
     MatchConfig,
+    MatchRecord,
     PayoffMatrix,
+    TournamentConfig,
     builtin_strategy,
     play_match,
+    run_tournament,
     trace_match,
 )
 from ipdlab.game import match_records, score_actions
@@ -250,3 +253,81 @@ def test_score_actions_equals_the_two_dimensional_gather(matrix, data):
     payoffs_a, payoffs_b = score_actions(codes_a, codes_b, matrix)
     assert payoffs_a.tobytes() == table[codes_a, codes_b].sum(axis=-1).tobytes()
     assert payoffs_b.tobytes() == table[codes_b, codes_a].sum(axis=-1).tobytes()
+
+
+class TestMatchRecord:
+    RECORD = MatchRecord("CDD", "DCC", 5.0, 5.0)
+
+    def test_repr_names_every_field(self):
+        assert repr(self.RECORD) == (
+            "MatchRecord(actions_a='CDD', actions_b='DCC', payoff_a=5.0, payoff_b=5.0)")
+
+    def test_fields_in_order(self):
+        assert MatchRecord._fields == ("actions_a", "actions_b", "payoff_a", "payoff_b")
+        assert tuple(self.RECORD) == ("CDD", "DCC", 5.0, 5.0)
+
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            self.RECORD.payoff_a = 0.0
+        assert self.RECORD.payoff_a == 5.0
+
+    def test_equal_records_hash_equal(self):
+        twin = MatchRecord("CDD", "DCC", 5.0, 5.0)
+        assert twin == self.RECORD and twin is not self.RECORD
+        assert hash(twin) == hash(self.RECORD) == hash(("CDD", "DCC", 5.0, 5.0))
+        assert len({twin, self.RECORD}) == 1
+        assert MatchRecord("CDD", "DCC", 5.0, 4.0) != self.RECORD
+
+    def test_repetitions_of_a_deterministic_pair_share_one_unchangeable_record(self):
+        result = run_tournament(TournamentConfig(
+            roster=("TitForTat", "Defector"), turns=5, repetitions=3, noise=0.0))
+        first, *others = (result.histories[("Defector", "TitForTat", rep)] for rep in range(3))
+        assert all(record is first for record in others)
+        with pytest.raises(AttributeError):
+            first.actions_a = "CCCCC"
+        with pytest.raises(TypeError):
+            first[0] = "CCCCC"
+        assert first == MatchRecord("DDDDD", "CDDDD", 9.0, 4.0)
+
+
+_GATHER_LETTERS = np.frombuffer(b"CD", np.uint8)
+
+
+def _gathered_letters(codes) -> list:
+    """Each row's C/D text by the table gather match_records once made: the oracle.
+    Its byte-string view needs each row contiguous, so it reads a C-order copy."""
+    codes = np.ascontiguousarray(codes)
+    return _GATHER_LETTERS[codes].view(f"S{codes.shape[1]}").astype(str).ravel().tolist()
+
+
+def _assert_records_spell_the_gathered_letters(codes_a, codes_b):
+    records = match_records(codes_a, codes_b)
+    payoffs_a, payoffs_b = score_actions(codes_a, codes_b)
+    assert [record.actions_a for record in records] == _gathered_letters(codes_a)
+    assert [record.actions_b for record in records] == _gathered_letters(codes_b)
+    assert [record.payoff_a for record in records] == payoffs_a.tolist()
+    assert [record.payoff_b for record in records] == payoffs_b.tolist()
+
+
+@given(data=st.data(), fortran=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_match_records_of_a_kernel_block_spell_the_gathered_letters(data, fortran):
+    """int8 (matches, turns) blocks as the kernel returns them, in either memory order."""
+    shape = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 60)))
+    codes = st.lists(st.integers(0, 1), min_size=shape[0] * shape[1],
+                     max_size=shape[0] * shape[1])
+    codes_a, codes_b = (np.array(data.draw(codes), dtype=np.int8).reshape(shape)
+                        for _ in range(2))
+    if fortran:
+        codes_a, codes_b = np.asfortranarray(codes_a), np.asfortranarray(codes_b)
+    _assert_records_spell_the_gathered_letters(codes_a, codes_b)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_match_records_of_action_tuples_spell_the_gathered_letters(data):
+    """Rows of Action tuples, as trace_match passes them."""
+    matches, turns = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 40))
+    rows = st.lists(st.tuples(*[st.sampled_from(Action)] * turns),
+                    min_size=matches, max_size=matches)
+    _assert_records_spell_the_gathered_letters(data.draw(rows), data.draw(rows))

@@ -3,12 +3,14 @@
 The small roster mixes the coin-flipping Random with three machines, so
 the pins cover the stochastic path, the noise stream and the
 deterministic kernel path; the default roster's noisy profile pins the
-`rates` output of all fifteen players.  Any change to match records,
+`rates` output of all fifteen players, and the `trace` pins cover every
+ordered pair of that roster.  Any change to match records,
 scoring, the history dump, the cooperation report, fitness or the
 generation log that moves a single byte fails here.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -194,3 +196,27 @@ def test_default_roster_noisy_profile_is_pinned(tmp_path, capsys):
         "rates.txt": hashlib.sha256("".join(rates).encode()).hexdigest(),
     }
     assert digests == NOISY_PROFILE_PINNED
+
+
+# `ipdlab trace --turns 30` stdout, header lines included, for every ordered
+# pair of the default roster, self-pairs too, then for a machine read from a
+# file in each seat against every roster entry: one digest per seed.
+TRACE_PINNED = {
+    "0": "4de3bf6b581f8d7199891dbad6196f02aec87fcef72905a303479ad241fe8a5a",
+    "9001": "34f061d1959b0bf47d17be5217319bd862da29b50ee2bb29da43a6bafa402d8e",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TRACE_PINNED))
+def test_trace_output_is_pinned(tmp_path, capsys, seed):
+    path = tmp_path / "FileFSM8.fsm"
+    path.write_text(serialize_fsm(replace(builtin_fsm("EvolvedFSM8"), name="FileFSM8")),
+                    encoding="utf-8")
+    names = [sid.name for sid in roster_default()]
+    pairs = [(a, b) for a in names for b in names]
+    pairs += [(f"@{path}", name) for name in names] + [(name, f"@{path}") for name in names]
+    digest = hashlib.sha256()
+    for a, b in pairs:
+        assert main(["trace", "--a", a, "--b", b, "--turns", "30", "--seed", seed]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == TRACE_PINNED[seed]

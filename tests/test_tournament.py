@@ -298,6 +298,16 @@ class TestHistoryDump:
         assert str(err.value) == (
             f"{path}: line 2: expected a repetition of digits 0-9, got {text!r}")
 
+    def test_reader_names_the_line_of_a_repetition_too_long_for_int(self, tmp_path):
+        rep = "1" * 5000
+        path = tmp_path / "bad.txt"
+        path.write_text(f"A|B|0|CCC|DDD|0|15\nA|B|{rep}|DDD|CCC|15|0\n")
+        with pytest.raises(ValueError) as int_error:
+            int(rep)  # past sys.get_int_max_str_digits()
+        with pytest.raises(ValueError) as err:
+            read_history_dump(path)
+        assert str(err.value) == f"{path}: line 2: {int_error.value}"
+
     def test_reader_rejects_uneven_action_strings(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("A|B|0|CCC|CC|9|9\n")
