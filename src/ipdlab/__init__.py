@@ -45,12 +45,11 @@ from .game import (
 )
 from .kernels import active_backend
 from .strategies import (
-    FsmStrategy,
     StrategyId,
     UnknownStrategyError,
     builtin_fsm,
-    builtin_strategy,
     default_registry,
+    fsm_entry,
     roster_default,
 )
 from .tournament import (
@@ -75,7 +74,6 @@ __all__ = [
     "EvolutionParams",
     "FsmParseError",
     "FsmSpec",
-    "FsmStrategy",
     "FsmValidationError",
     "GenerationRecord",
     "MatchConfig",
@@ -91,12 +89,12 @@ __all__ = [
     "active_backend",
     "behaviorally_equivalent",
     "builtin_fsm",
-    "builtin_strategy",
     "compare_transitions",
     "cooperation_rates",
     "default_registry",
     "evolve",
     "fitness",
+    "fsm_entry",
     "fsm_step",
     "generation_deltas",
     "load_fsm_file",

@@ -47,7 +47,7 @@ from .fsm import (
 )
 from .game import MatchConfig, trace_match
 from .kernels import active_backend
-from .strategies import UnknownStrategyError, default_registry, roster_default
+from .strategies import UnknownStrategyError, default_registry, fsm_entry, roster_default
 from .tournament import (
     CONTEXTS,
     TournamentConfig,
@@ -210,11 +210,10 @@ def _resolve_roster(roster_arg: str, registry):
 
 
 def _resolve_player(token: str, registry):
+    """The roster entry a trace player names: a registry name, or @file."""
     if token.startswith("@"):
-        from .strategies import FsmStrategy
-
-        return FsmStrategy(load_fsm_file(token[1:]))
-    return registry.get(token).make()
+        return fsm_entry(load_fsm_file(token[1:]))
+    return registry.get(token)
 
 
 def _fmt(value: float) -> str:
@@ -376,16 +375,16 @@ def _cmd_equiv(args) -> CommandOutcome:
 
 def _cmd_trace(args) -> CommandOutcome:
     reg = default_registry()
-    strat_a = _resolve_player(args.a_name, reg)
-    strat_b = _resolve_player(args.b_name, reg)
+    player_a = _resolve_player(args.a_name, reg)
+    player_b = _resolve_player(args.b_name, reg)
     config = MatchConfig(turns=args.turns, noise=0.0, seed=args.seed)
     _print_header("trace", [
-        ("a", strat_a.name),
-        ("b", strat_b.name),
+        ("a", player_a.id.name),
+        ("b", player_b.id.name),
         ("turns", config.turns),
         ("seed", config.seed),
     ])
-    trace = trace_match(strat_a, strat_b, config)
+    trace = trace_match(player_a, player_b, config)
     record = trace.record
     print("turn action_a action_b state_a state_b")
     for i in range(config.turns):

@@ -61,11 +61,14 @@ class FsmParseError(ValueError):
 
 
 class FsmValidationError(ValueError):
-    """Raised when parsed FSM text is well-formed but not a valid machine."""
+    """Raised when parsed FSM text is well-formed but not a valid machine.
+    From parse_fsm it names the line (or statement) of the first violation."""
 
-    def __init__(self, violations):
-        super().__init__("; ".join(violations))
+    def __init__(self, violations, line_number=None, unit: str = "line"):
+        message = "; ".join(violations)
+        super().__init__(message if line_number is None else f"{unit} {line_number}: {message}")
         self.violations = list(violations)
+        self.line_number = line_number
 
 
 def _name_fault(name) -> str:
@@ -78,38 +81,45 @@ def _name_fault(name) -> str:
 
 def validate_fsm(spec: FsmSpec) -> list:
     """Return a list of human-readable violations, empty when valid."""
+    return [violation for violation, _ in _violations(spec)]
+
+
+def _violations(spec: FsmSpec) -> list:
+    """validate_fsm's violations, each paired with the (state, opponent
+    action) entry it concerns, or None for a fault of the whole machine."""
     violations = []
 
     seen = set()
     for s in spec.states:
         if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-            violations.append(f"state id {s!r} is not a positive integer")
+            violations.append((f"state id {s!r} is not a positive integer", None))
         elif s in seen:
-            violations.append(f"duplicate state id {s}")
+            violations.append((f"duplicate state id {s}", None))
         else:
             seen.add(s)
 
     if fault := _name_fault(spec.name):
-        violations.append(fault)
+        violations.append((fault, None))
 
     if spec.start_state not in seen:
-        violations.append(f"start state {spec.start_state} not in state set")
+        violations.append((f"start state {spec.start_state} not in state set", None))
     if spec.initial_action not in _BOTH_ACTIONS:
-        violations.append(f"initial action {spec.initial_action!r} is not C or D")
+        violations.append((f"initial action {spec.initial_action!r} is not C or D", None))
 
     for s in sorted(seen):
         for act in _BOTH_ACTIONS:
             if (s, act) not in spec.transitions:
-                violations.append(f"missing transition {s}/{act.name}")
+                violations.append((f"missing transition {s}/{act.name}", (s, act)))
 
     for (s, act), (nxt, own) in spec.transitions.items():
         if s not in seen:
-            violations.append(f"transition from unknown state {s}/{getattr(act, 'name', act)}")
+            name = getattr(act, "name", act)
+            violations.append((f"transition from unknown state {s}/{name}", (s, act)))
             continue
         if nxt not in seen:
-            violations.append(f"dangling target {s}/{act.name}->{nxt}")
+            violations.append((f"dangling target {s}/{act.name}->{nxt}", (s, act)))
         if own not in _BOTH_ACTIONS:
-            violations.append(f"own action {own!r} on {s}/{act.name} is not C or D")
+            violations.append((f"own action {own!r} on {s}/{act.name} is not C or D", (s, act)))
 
     return violations
 
@@ -283,12 +293,14 @@ def parse_fsm(text: str) -> FsmSpec:
 
     Raises FsmParseError (with a line number) for malformed lines and
     FsmValidationError when the lines parse but the machine is broken,
-    e.g. a transition targets a state that has no rows of its own.
+    e.g. a transition targets a state that has no rows of its own; it
+    names the line of the first violation.
     """
     name = None
     start_state = None
     initial_action = None
     transitions = {}
+    line_of = {}
     lhs_states = set()
 
     # lines break at '\n', '\r' and '\r\n' only, as text mode reads a file
@@ -315,6 +327,7 @@ def parse_fsm(text: str) -> FsmSpec:
                 raise FsmParseError("'start' takes a state id and an action", line_number)
             start_state = _parse_state_id(tokens[1], line_number)
             initial_action = _parse_action(tokens[2], line_number)
+            start_line = line_number
             continue
 
         if len(tokens) != 5 or tokens[2] != "->":
@@ -329,6 +342,7 @@ def parse_fsm(text: str) -> FsmSpec:
         if (state, opp) in transitions:
             raise FsmParseError(f"duplicate transition {state} {opp.name}", line_number)
         transitions[(state, opp)] = (target, own)
+        line_of[(state, opp)] = line_number
         lhs_states.add(state)
 
     if name is None:
@@ -343,9 +357,13 @@ def parse_fsm(text: str) -> FsmSpec:
         initial_action=initial_action,
         transitions=transitions,
     )
-    violations = validate_fsm(spec)
+    violations = _violations(spec)
     if violations:
-        raise FsmValidationError(violations)
+        # every fault a parsed machine can have concerns one entry; a missing
+        # one is named by its state's other transition, else by the start line
+        state, opp = violations[0][1]
+        line_number = line_of.get((state, opp)) or line_of.get((state, opp.flip()), start_line)
+        raise FsmValidationError([violation for violation, _ in violations], line_number)
     return spec
 
 
@@ -370,6 +388,8 @@ def parse_fsm_line(text: str) -> FsmSpec:
         return parse_fsm(text.replace(";", "\n"))
     except FsmParseError as exc:
         raise FsmParseError(exc.message, exc.line_number, "statement") from None
+    except FsmValidationError as exc:
+        raise FsmValidationError(exc.violations, exc.line_number, "statement") from None
 
 
 def _not_utf8(path, data: bytes) -> ValueError:

@@ -1,20 +1,20 @@
-"""Stage game and match engine for the iterated prisoner's dilemma.
+"""Stage game, match records and single matches of the iterated PD.
 
 Two players pick Cooperate or Defect simultaneously each turn, collect
 stage payoffs, and see what the other side just played before choosing
-again.  Everything downstream (tournaments, the evolutionary search)
-plays on the kernels in `kernels.py`, which follow the contract below,
-so the engine is deterministic to the last bit: same strategies, same
+again.  Every match, here and downstream (tournaments, the evolutionary
+search), plays on the kernel in `kernels.py`, which follows the contract
+below, so a match is deterministic to the last bit: same players, same
 config, same payoff matrix, same record.
 
-Draw-order contract for one turn (the kernels follow it exactly):
+Draw-order contract for one turn:
 
-1. player A picks (stochastic strategies draw one double from stream A),
+1. player A picks (a coin draws one double from stream A),
 2. player B picks (stream B),
 3. if noise > 0, two doubles come off the noise stream, first for A's
    action then for B's; a draw below the noise level flips that action.
 
-Strategies are shown the opponent's *recorded* (post-noise) action but
+Machines are shown the opponent's *recorded* (post-noise) action but
 remember their *own* choice as made, so a trembling hand never confuses
 a machine about its own state.
 """
@@ -26,7 +26,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .rng import substream
 
 
 class Action(IntEnum):
@@ -132,41 +131,6 @@ def match_records(codes_a, codes_b, matrix: PayoffMatrix = DEFAULT_PAYOFFS) -> l
     return list(map(MatchRecord, text_a, text_b, payoffs_a.tolist(), payoffs_b.tolist()))
 
 
-def _play_generic(strat_a, strat_b, cfg: MatchConfig) -> tuple:
-    """Reference interpreter: works for any strategy object.
-
-    Returns (actions_a, actions_b, states_a, states_b); the state lists
-    carry each player's machine state after every turn, or None for
-    strategies that do not expose one.  Kept dead simple on purpose; the
-    kernels in `kernels.py` must agree with this loop bit for bit.
-    """
-    strat_a.reset(substream(cfg.seed, 1))
-    strat_b.reset(substream(cfg.seed, 2))
-    noise_rng = substream(cfg.seed, 3)
-
-    recorded_a = []
-    recorded_b = []
-    states_a = []
-    states_b = []
-    for turn in range(cfg.turns):
-        if turn == 0:
-            chosen_a = strat_a.opening()
-            chosen_b = strat_b.opening()
-        else:
-            chosen_a = strat_a.respond(recorded_b[-1])
-            chosen_b = strat_b.respond(recorded_a[-1])
-        states_a.append(getattr(strat_a, "state", None))
-        states_b.append(getattr(strat_b, "state", None))
-        if cfg.noise > 0.0:
-            if noise_rng.next_double() < cfg.noise:
-                chosen_a = chosen_a.flip()
-            if noise_rng.next_double() < cfg.noise:
-                chosen_b = chosen_b.flip()
-        recorded_a.append(chosen_a)
-        recorded_b.append(chosen_b)
-    return tuple(recorded_a), tuple(recorded_b), tuple(states_a), tuple(states_b)
-
-
 @dataclass(frozen=True)
 class MatchTrace:
     """A MatchRecord plus the per-turn machine states behind it."""
@@ -176,27 +140,34 @@ class MatchTrace:
     states_b: tuple
 
 
-def trace_match(strat_a, strat_b, cfg: MatchConfig, matrix: PayoffMatrix = DEFAULT_PAYOFFS) -> MatchTrace:
-    """Play on the generic interpreter and keep the state trajectory."""
-    actions_a, actions_b, states_a, states_b = _play_generic(strat_a, strat_b, cfg)
-    record = match_records([actions_a], [actions_b], matrix)[0]
-    return MatchTrace(record=record, states_a=states_a, states_b=states_b)
+def _states(spec, opponent) -> tuple:
+    """A machine's state on each turn, walked over the opponent's recorded
+    action codes; None on every turn for a side without a spec."""
+    if spec is None:
+        return (None,) * len(opponent)
+    # transitions are keyed by Action, an IntEnum, so plain ints find them
+    states = [spec.start_state]
+    for opp in opponent[:-1].tolist():
+        states.append(spec.transitions[(states[-1], opp)][0])
+    return tuple(states)
 
 
-def play_match(strat_a, strat_b, cfg: MatchConfig, matrix: PayoffMatrix = DEFAULT_PAYOFFS) -> MatchRecord:
-    """Play one match between two freshly reset strategies on the kernel.
+def trace_match(a, b, cfg: MatchConfig, matrix: PayoffMatrix = DEFAULT_PAYOFFS) -> MatchTrace:
+    """Play one match between two registry entries on the kernel, and keep
+    each machine's state on every turn.
 
-    Both strategies must carry a kernel program, as every registry entry
-    does; a ValueError names the one that lacks it.  A strategy without
-    a program can still be played turn by turn with `trace_match`.
+    A machine's next state is keyed by its state and the opponent's
+    recorded move, never by its own move, so walking its FsmSpec over the
+    opponent's recorded actions gives its states exactly, at any noise
+    level.  A side without a spec (Random) has None on every turn.
     """
-    for strat in (strat_a, strat_b):
-        if getattr(strat, "program", None) is None:
-            raise ValueError(
-                f"strategy {strat.name!r} has no kernel program; "
-                "play it with trace_match instead"
-            )
-    raw_a, raw_b = kernels.play_one(
-        strat_a.program, strat_b.program, cfg.turns, cfg.noise, cfg.seed
-    )
+    raw_a, raw_b = kernels.play_one(a.program, b.program, cfg.turns, cfg.noise, cfg.seed)
+    return MatchTrace(record=match_records([raw_a], [raw_b], matrix)[0],
+                      states_a=_states(a.spec, raw_b), states_b=_states(b.spec, raw_a))
+
+
+def play_match(a, b, cfg: MatchConfig, matrix: PayoffMatrix = DEFAULT_PAYOFFS) -> MatchRecord:
+    """Play one match between two registry entries (anything with a kernel
+    `program`) on the kernel."""
+    raw_a, raw_b = kernels.play_one(a.program, b.program, cfg.turns, cfg.noise, cfg.seed)
     return match_records([raw_a], [raw_b], matrix)[0]

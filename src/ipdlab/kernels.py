@@ -1,11 +1,11 @@
-"""Vectorized match kernel.
+"""Vectorized match kernel: every match the package plays runs here.
 
-Strategies that reduce to a lookup table (every built-in does) get
-flattened into a `Program` and replayed here instead of through the
-per-turn Python loop in `game._play_generic`.  One numpy loop plays a
-whole batch of matches and must agree bit for bit with
-`game._play_generic`: it replicates the SplitMix64 streams from
-`rng.py` exactly (stream A, stream B, noise stream).
+Each strategy is flattened into a `Program`, a lookup table or a coin,
+and one numpy loop plays a whole batch of matches by the draw-order
+contract in `game.py`.  A match with seed s has three SplitMix64 streams
+(A, B and noise, tags 1, 2 and 3), each starting in state
+mix64((s + tag * GOLDEN) mod 2**64).  The kernel must agree bit for bit
+with the per-turn loop `tests/conftest.py::reference_play`.
 
 Draw k of a stream in state s is mix64(s + k * GOLDEN), so no draw
 needs the ones before it.  A Random row's move on turn t is draw t + 1
@@ -234,7 +234,7 @@ def play_batch(progs_a, progs_b, turns, noise, seeds):
     if not (len(progs_a) == len(progs_b) == len(seeds)):
         raise ValueError("progs_a, progs_b and seeds must have equal length")
 
-    # a seed outside [0, 2**64) plays as substream reads it, mod 2**64
+    # a seed outside [0, 2**64) plays mod 2**64
     seed_arr = (seeds.astype(np.uint64, copy=False) if isinstance(seeds, np.ndarray)
                 else np.array([seed & MASK64 for seed in seeds], dtype=np.uint64))
     count = seed_arr.shape[0]

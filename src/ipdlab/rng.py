@@ -60,15 +60,6 @@ class SplitMix64:
         return self.next_u64() % n
 
 
-def substream(seed: int, tag: int) -> SplitMix64:
-    """Open one of several independent streams hanging off a match seed.
-
-    The initial state is mix64(seed + tag * GOLDEN), which the kernels
-    replicate with uint64 wraparound arithmetic.
-    """
-    return SplitMix64(mix64((seed + tag * GOLDEN) & MASK64))
-
-
 def derive_seed(*parts) -> int:
     """Hash an arbitrary tuple of labels down to a 64-bit seed.
 

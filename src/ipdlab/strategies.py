@@ -6,11 +6,11 @@ the FSM text below; the hand-built and evolved machines ship as text
 files under data/ and are parsed at import.  Each data file's sha256 is
 pinned below, so a corrupted or edited copy stops the registry from
 loading rather than silently changing tournament results.  Random is
-the one stochastic entry and has its own class.
+the one stochastic entry, a coin with no machine behind it.
 
-Every entry carries a kernel program, so the compiled kernels play
-whole rosters; `FsmStrategy` interprets the same machines turn by turn
-for traces.
+A roster entry is a `RegisteredStrategy`: its identity, the kernel
+program every match plays, and its FsmSpec when it has one.
+`fsm_entry` turns any FsmSpec into such an entry.
 """
 
 import hashlib
@@ -19,7 +19,6 @@ from importlib import resources
 
 from . import kernels
 from .fsm import FsmSpec, parse_fsm
-from .game import Action
 
 _GOLDEN_SHA256 = {
     "FirstPrac": "23e24bc26f60cbaee1cd446f613b4ac56dcf493526a28beee5597bf46cf2acf3",
@@ -34,77 +33,6 @@ _GOLDEN_SHA256 = {
 
 class UnknownStrategyError(ValueError):
     """Asked the registry for a name it has never heard of."""
-
-
-# ── strategy classes ─────────────────────────────────────────────────
-
-
-class Strategy:
-    """Base protocol: reset, play an opening move, respond to the last one.
-
-    Instances serve exactly one match at a time.  reset receives the
-    match's random stream; deterministic strategies just ignore it.
-    """
-
-    name = "?"
-    program = None
-
-    def reset(self, rng=None):
-        pass
-
-    def opening(self) -> Action:
-        raise NotImplementedError
-
-    def respond(self, opp_prev: Action) -> Action:
-        raise NotImplementedError
-
-
-class Random(Strategy):
-    """Cooperates with fixed probability p each turn, D otherwise."""
-
-    name = "Random"
-
-    def __init__(self, p: float = 0.5):
-        if not (0.0 <= p <= 1.0):
-            raise ValueError(f"cooperation probability must lie in [0, 1], got {p}")
-        self.p = p
-        self.program = kernels.random_program(p)
-        self._rng = None
-
-    def reset(self, rng=None):
-        if rng is None:
-            raise ValueError("Random needs a stream; pass the match rng to reset()")
-        self._rng = rng
-
-    def opening(self):
-        return self._draw()
-
-    def respond(self, opp_prev):
-        return self._draw()
-
-    def _draw(self):
-        return Action.C if self._rng.next_double() < self.p else Action.D
-
-
-class FsmStrategy(Strategy):
-    """Interpreter for one FsmSpec; exposes the current state id for traces."""
-
-    def __init__(self, spec: FsmSpec):
-        self.spec = spec
-        self.name = spec.name
-        self.program = kernels.fsm_program(spec)
-        self.state = spec.start_state
-
-    def reset(self, rng=None):
-        self.state = self.spec.start_state
-
-    def opening(self):
-        self.state = self.spec.start_state
-        return self.spec.initial_action
-
-    def respond(self, opp_prev):
-        self.state, own = self.spec.transitions[(self.state, opp_prev)]
-        return own
 
 
 # ── the deterministic classics ───────────────────────────────────────
@@ -183,12 +111,8 @@ class StrategyId:
 @dataclass(frozen=True)
 class RegisteredStrategy:
     id: StrategyId
-    factory: object  # zero-arg callable producing a fresh instance
     program: object  # kernel Program; every entry has one
     spec: object  # FsmSpec when one exists, else None
-
-    def make(self) -> Strategy:
-        return self.factory()
 
 
 def _load_golden(name: str) -> FsmSpec:
@@ -233,21 +157,20 @@ class Registry:
         return sorted(entry.id.name for entry in self._entries.values())
 
     def with_fsm(self, spec: FsmSpec) -> "Registry":
-        entry = _fsm_entry(spec)
-        return Registry(list(self._entries.values()) + [entry])
+        return Registry(list(self._entries.values()) + [fsm_entry(spec)])
 
 
-def _fsm_entry(spec: FsmSpec) -> RegisteredStrategy:
+def fsm_entry(spec: FsmSpec) -> RegisteredStrategy:
+    """The roster entry that plays a valid machine."""
     return RegisteredStrategy(
         id=StrategyId(spec.name, "fsm"),
-        factory=lambda spec=spec: FsmStrategy(spec),
         program=kernels.fsm_program(spec),
         spec=spec,
     )
 
 
 def _behavioral_entry(name: str) -> RegisteredStrategy:
-    return replace(_fsm_entry(CLASSIC_FSMS[name]), id=StrategyId(name, "behavioral"))
+    return replace(fsm_entry(CLASSIC_FSMS[name]), id=StrategyId(name, "behavioral"))
 
 
 def _build_default_registry() -> Registry:
@@ -255,13 +178,12 @@ def _build_default_registry() -> Registry:
     entries.append(
         RegisteredStrategy(
             id=StrategyId("Random", "stochastic"),
-            factory=lambda: Random(0.5),
             program=kernels.random_program(0.5),
             spec=None,
         )
     )
     for name in _GOLDEN_SHA256:
-        entries.append(_fsm_entry(_load_golden(name)))
+        entries.append(fsm_entry(_load_golden(name)))
     return Registry(entries)
 
 
@@ -270,11 +192,6 @@ _DEFAULT_REGISTRY = _build_default_registry()
 
 def default_registry() -> Registry:
     return _DEFAULT_REGISTRY
-
-
-def builtin_strategy(name: str):
-    """Factory for a built-in strategy; raises UnknownStrategyError."""
-    return _DEFAULT_REGISTRY.get(name).factory
 
 
 def builtin_fsm(name: str) -> FsmSpec:

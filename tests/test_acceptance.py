@@ -10,7 +10,6 @@ import time
 
 from ipdlab import (
     EvolutionParams,
-    FsmStrategy,
     MatchConfig,
     TournamentConfig,
     behaviorally_equivalent,
@@ -18,6 +17,7 @@ from ipdlab import (
     compare_transitions,
     cooperation_rates,
     evolve,
+    fsm_entry,
     generation_deltas,
     mutate_fsm,
     play_match,
@@ -59,8 +59,8 @@ def test_criterion_02_pruned_machine_is_indistinguishable_in_play():
             entry = registry.get(sid.name)
             seed = derive_seed(2, "acceptance", sid.name)
             config = MatchConfig(turns=200, noise=0.0, seed=seed)
-            rec8 = play_match(FsmStrategy(e8), entry.make(), config)
-            rec6 = play_match(FsmStrategy(e6), entry.make(), config)
+            rec8 = play_match(fsm_entry(e8), entry, config)
+            rec6 = play_match(fsm_entry(e6), entry, config)
             assert rec8 == rec6, f"records differ against {sid.name}"
 
     elapsed, _ = _timed(check)
@@ -72,13 +72,13 @@ def test_criterion_03_top_machines_sustain_mutual_cooperation():
     registry = default_registry()
     turns = 200
     opponents = {
-        "TitForTat": registry.get("TitForTat").make(),
-        "Cooperator": registry.get("Cooperator").make(),
-        "EvolvedFSM6": FsmStrategy(e6),
+        "TitForTat": registry.get("TitForTat"),
+        "Cooperator": registry.get("Cooperator"),
+        "EvolvedFSM6": fsm_entry(e6),
     }
     for name, opponent in opponents.items():
         record = play_match(
-            FsmStrategy(e6), opponent, MatchConfig(turns=turns, noise=0.0, seed=0)
+            fsm_entry(e6), opponent, MatchConfig(turns=turns, noise=0.0, seed=0)
         )
         assert record.payoff_a == 3.0 * turns, f"vs {name}"
         assert record.payoff_b == 3.0 * turns, f"vs {name}"
@@ -87,8 +87,8 @@ def test_criterion_03_top_machines_sustain_mutual_cooperation():
 def test_criterion_04_defect_streak_against_defector_with_quarter_comebacks():
     e6 = builtin_fsm("EvolvedFSM6")
     record = play_match(
-        FsmStrategy(e6),
-        default_registry().get("Defector").make(),
+        fsm_entry(e6),
+        default_registry().get("Defector"),
         MatchConfig(turns=21, noise=0.0, seed=0),
     )
     emitted = record.actions_a

@@ -257,6 +257,20 @@ class TestParse:
         assert "missing transition 1/D" in err.value.violations
         assert "dangling target 1/C->2" in err.value.violations
 
+    @pytest.mark.parametrize("text, line, first", [
+        ("fsm x\nstart 1 C\n1 C -> 1 C\n\n1 D -> 2 D\n", 5, "dangling target 1/D->2"),
+        ("fsm x\nstart 1 C\n1 C -> 1 C\n1 D -> 2 D\n# 2 C is gone\n2 D -> 1 C\n", 6,
+         "missing transition 2/C"),
+        ("fsm x\n\nstart 3 C\n1 C -> 1 C\n1 D -> 1 D\n", 3, "missing transition 3/C"),
+    ], ids=["dangling_target", "other_row_of_its_state", "start_line"])
+    def test_validation_error_names_the_line_of_its_first_violation(self, text, line, first):
+        with pytest.raises(FsmValidationError) as err:
+            parse_fsm(text)
+        assert (err.value.line_number, err.value.violations[0]) == (line, first)
+        assert str(err.value).startswith(f"line {line}: {first}")
+        with pytest.raises(FsmValidationError, match=f"^statement {line}: {first}"):
+            parse_fsm_line(text.replace("\n", ";"))
+
     def test_nonpositive_state_id_rejected(self):
         with pytest.raises(FsmParseError, match="positive"):
             parse_fsm("fsm x\nstart 0 C\n0 C -> 0 C\n0 D -> 0 C\n")

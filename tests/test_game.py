@@ -8,20 +8,22 @@ from hypothesis import strategies as st
 from ipdlab import (
     Action,
     DEFAULT_PAYOFFS,
-    FsmStrategy,
     MatchConfig,
     MatchRecord,
     PayoffMatrix,
+    StrategyId,
     TournamentConfig,
-    builtin_strategy,
+    default_registry,
+    fsm_entry,
     play_match,
     run_tournament,
     trace_match,
 )
 from ipdlab.game import match_records, score_actions
-from ipdlab.strategies import Strategy
+from ipdlab.kernels import random_program
+from ipdlab.strategies import RegisteredStrategy
 
-from conftest import fsm_specs
+from conftest import fsm_specs, reference_play, reference_side
 
 
 class TestAction:
@@ -96,19 +98,16 @@ class TestMatchConfig:
         assert MatchConfig(turns=5, noise=1.0).noise == 1.0
 
 
-class _NoProgram(Strategy):
-    name = "NoProgram"
-
-    def opening(self):
-        return Action.C
-
-    def respond(self, opp_prev):
-        return opp_prev
+def _entry(name):
+    return default_registry().get(name)
 
 
 def _play(name_a, name_b, **kwargs):
-    cfg = MatchConfig(**kwargs)
-    return play_match(builtin_strategy(name_a)(), builtin_strategy(name_b)(), cfg)
+    return play_match(_entry(name_a), _entry(name_b), MatchConfig(**kwargs))
+
+
+def _letters(codes) -> str:
+    return "".join("CD"[code] for code in codes)
 
 
 class TestPlayMatch:
@@ -163,44 +162,59 @@ class TestPlayMatch:
         assert record.actions_b == "DDDDDD"
         assert record.actions_a == "DCCCCC"
 
-    def test_strategy_without_program_is_refused(self):
-        cfg = MatchConfig(turns=4)
-        with pytest.raises(ValueError, match="'NoProgram'.*trace_match"):
-            play_match(builtin_strategy("Defector")(), _NoProgram(), cfg)
-        trace = trace_match(builtin_strategy("Defector")(), _NoProgram(), cfg)
-        assert trace.record.actions_b == "CDDD"
-
     @pytest.mark.parametrize("seed", [-1, 2**64 - 1, 2**64, 2**70 + 3])
     def test_seed_outside_64_bits_plays_as_trace_match_does(self, seed):
-        # substream reduces a seed mod 2**64, so both engines must
+        # the streams read a seed mod 2**64, as the reference loop does
         cfg = MatchConfig(turns=5, noise=0.1, seed=seed)
         record = _play("Random", "TitForTat", turns=5, noise=0.1, seed=seed)
-        trace = trace_match(builtin_strategy("Random")(), builtin_strategy("TitForTat")(), cfg)
-        assert record == trace.record
+        assert record == trace_match(_entry("Random"), _entry("TitForTat"), cfg).record
+        ref_a, ref_b, _, _ = reference_play(
+            reference_side(_entry("Random")), _entry("TitForTat").spec, 5, 0.1, seed)
+        assert (record.actions_a, record.actions_b) == (_letters(ref_a), _letters(ref_b))
 
 
 class TestTraceMatch:
     def test_fsm_state_trajectory_exposed(self):
         cfg = MatchConfig(turns=6, seed=0)
-        trace = trace_match(
-            builtin_strategy("EvolvedFSM6")(), builtin_strategy("Defector")(), cfg
-        )
+        trace = trace_match(_entry("EvolvedFSM6"), _entry("Defector"), cfg)
         assert trace.states_a == (5, 7, 6, 8, 4, 5)
         assert trace.states_b == (1,) * 6
-        trace = trace_match(
-            builtin_strategy("EvolvedFSM6")(), builtin_strategy("Random")(), cfg
-        )
+        trace = trace_match(_entry("EvolvedFSM6"), _entry("Random"), cfg)
         assert trace.states_b == (None,) * 6
 
     def test_trace_record_matches_play_match(self):
         cfg = MatchConfig(turns=25, seed=5)
-        trace = trace_match(
-            builtin_strategy("SecondPrac")(), builtin_strategy("Alternator")(), cfg
-        )
-        record = play_match(
-            builtin_strategy("SecondPrac")(), builtin_strategy("Alternator")(), cfg
-        )
+        trace = trace_match(_entry("SecondPrac"), _entry("Alternator"), cfg)
+        record = play_match(_entry("SecondPrac"), _entry("Alternator"), cfg)
         assert trace.record == record
+
+
+# A traced side: a machine, the registry's Random, or a coin of another p.
+_traced_sides = st.one_of(
+    fsm_specs(max_states=6).map(fsm_entry),
+    st.just(_entry("Random")),
+    st.sampled_from((0.0, 0.3, 1.0)).map(
+        lambda p: RegisteredStrategy(StrategyId("Coin", "stochastic"), random_program(p), None)),
+)
+
+
+@given(
+    a=_traced_sides,
+    b=_traced_sides,
+    noise=st.sampled_from((0.0, 0.1, 1.0)),
+    turns=st.sampled_from((1, 15, 16, 17, 33)),
+    seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(-(2**70), -1),
+                   st.integers(2**64, 2**70)),
+)
+@settings(max_examples=100, deadline=None)
+def test_trace_states_are_the_reference_loops(a, b, noise, turns, seed):
+    """The states walked over the recorded moves are the ones the per-turn
+    loop steps through, noise flips included."""
+    trace = trace_match(a, b, MatchConfig(turns=turns, noise=noise, seed=seed))
+    ref_a, ref_b, states_a, states_b = reference_play(
+        reference_side(a), reference_side(b), turns, noise, seed)
+    assert (trace.record.actions_a, trace.record.actions_b) == (_letters(ref_a), _letters(ref_b))
+    assert (trace.states_a, trace.states_b) == (states_a, states_b)
 
 
 @given(
@@ -220,8 +234,8 @@ def test_score_bounds_per_turn(seq_a):
 def test_swapped_seats_mirror_the_record(a, b):
     """Deterministic players at zero noise don't care which seat they get."""
     cfg = MatchConfig(turns=12, noise=0.0, seed=9)
-    forward = play_match(FsmStrategy(a), FsmStrategy(b), cfg)
-    reverse = play_match(FsmStrategy(b), FsmStrategy(a), cfg)
+    forward = play_match(fsm_entry(a), fsm_entry(b), cfg)
+    reverse = play_match(fsm_entry(b), fsm_entry(a), cfg)
     assert forward.actions_a == reverse.actions_b
     assert forward.actions_b == reverse.actions_a
     assert forward.payoff_a == reverse.payoff_b
@@ -326,7 +340,7 @@ def test_match_records_of_a_kernel_block_spell_the_gathered_letters(data, fortra
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_match_records_of_action_tuples_spell_the_gathered_letters(data):
-    """Rows of Action tuples, as trace_match passes them."""
+    """Rows of Action tuples, as a caller may pass them."""
     matches, turns = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 40))
     rows = st.lists(st.tuples(*[st.sampled_from(Action)] * turns),
                     min_size=matches, max_size=matches)

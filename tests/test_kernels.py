@@ -1,12 +1,11 @@
-"""Kernel parity: the numpy kernel and the generic interpreter must agree."""
+"""Kernel parity: the numpy kernel and the per-turn reference loop must agree."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipdlab import MatchConfig, default_registry, roster_default
-from ipdlab.game import _play_generic
+from ipdlab import FsmSpec, default_registry, roster_default
 from ipdlab.kernels import (
     BLOCK_TURNS,
     KIND_RANDOM,
@@ -21,9 +20,8 @@ from ipdlab.kernels import (
     random_program,
 )
 from ipdlab.rng import derive_seed
-from ipdlab.strategies import FsmStrategy, Random
 
-from conftest import fsm_specs
+from conftest import fsm_specs, reference_play, reference_side
 
 
 @pytest.fixture(scope="module")
@@ -32,15 +30,7 @@ def roster_entries():
     return [reg.get(sid.name) for sid in roster_default()]
 
 
-def _generic_actions(entry_a, entry_b, cfg):
-    actions_a, actions_b, _, _ = _play_generic(entry_a.make(), entry_b.make(), cfg)
-    return (
-        np.array([int(a) for a in actions_a], dtype=np.int8),
-        np.array([int(b) for b in actions_b], dtype=np.int8),
-    )
-
-
-class TestThreeWayParity:
+class TestReferenceParity:
     """The determinism contract that everything else leans on."""
 
     @pytest.mark.parametrize("noise", [0.0, 0.1])
@@ -57,11 +47,11 @@ class TestThreeWayParity:
 
         out_a, out_b = play_batch(progs_a, progs_b, turns, noise, seeds)
 
-        cfg_proto = dict(turns=turns, noise=noise)
         for row, (a, b, seed) in enumerate(jobs):
-            gen_a, gen_b = _generic_actions(a, b, MatchConfig(seed=seed, **cfg_proto))
-            assert np.array_equal(gen_a, out_a[row]), (a.id.name, b.id.name)
-            assert np.array_equal(gen_b, out_b[row]), (a.id.name, b.id.name)
+            ref_a, ref_b, _, _ = reference_play(reference_side(a), reference_side(b),
+                                                turns, noise, seed)
+            assert out_a[row].tolist() == list(ref_a), (a.id.name, b.id.name)
+            assert out_b[row].tolist() == list(ref_b), (a.id.name, b.id.name)
 
     def test_play_one_is_batch_of_one(self, roster_entries):
         a = roster_entries[8].program  # FirstPrac
@@ -110,7 +100,7 @@ class TestBatchMechanics:
         with pytest.raises(TypeError, match="backend"):
             play_batch([prog], [prog], 5, 0.0, [1], backend="numpy")
 
-    def test_active_backend_is_one_of_the_two(self):
+    def test_active_backend_is_numpy(self):
         assert active_backend() == "numpy"
 
 
@@ -217,19 +207,13 @@ class TestPlayPairs:
             assert len(set(index.ravel().tolist())) == acts_a.shape[0]
 
 
-# A side is a machine or the probability p of a coin: (spec, None) or (None, p).
-_machines = fsm_specs(max_states=6).map(lambda spec: (spec, None))
-_coins = st.sampled_from((0.0, 0.5, 1.0)).map(lambda p: (None, p))
+# A side is a machine, or the probability p of a coin, as reference_play takes it.
+_machines = fsm_specs(max_states=6)
+_coins = st.sampled_from((0.0, 0.5, 1.0))
 
 
 def _side_program(side):
-    spec, p = side
-    return random_program(p) if spec is None else fsm_program(spec)
-
-
-def _side_strategy(side):
-    spec, p = side
-    return Random(p) if spec is None else FsmStrategy(spec)
+    return fsm_program(side) if isinstance(side, FsmSpec) else random_program(side)
 
 
 class TestBlockEdges:
@@ -254,10 +238,9 @@ class TestBlockEdges:
         out_a, out_b = play_batch([_side_program(a) for a, _ in rows],
                                   [_side_program(b) for _, b in rows], turns, noise, seeds)
         for row, ((side_a, side_b), seed) in enumerate(zip(rows, seeds)):
-            gen_a, gen_b, _, _ = _play_generic(_side_strategy(side_a), _side_strategy(side_b),
-                                               MatchConfig(turns=turns, noise=noise, seed=seed))
-            assert out_a[row].tolist() == [int(a) for a in gen_a], row
-            assert out_b[row].tolist() == [int(b) for b in gen_b], row
+            ref_a, ref_b, _, _ = reference_play(side_a, side_b, turns, noise, seed)
+            assert out_a[row].tolist() == list(ref_a), row
+            assert out_b[row].tolist() == list(ref_b), row
 
     @pytest.mark.parametrize("noise", [0.0, 0.1])
     def test_a_coin_ignores_the_tables_of_its_program(self, e6, noise):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from ipdlab import (
     EvolutionParams,
-    FsmValidationError,
     TournamentConfig,
     evolve,
     load_fsm_file,
@@ -155,5 +154,4 @@ def test_an_edited_fsm_file_reads_or_names_its_line(tmp_path, edit):
     path, _, error = _read(load_fsm_file, tmp_path, _edit(FSM, *edit)[0])
     if error is not None:
         assert str(error).startswith(f"{path}: ")
-        # a violation of the whole machine, such as a dangling target, has no line
-        assert isinstance(error, FsmValidationError) or _names_its_line(path, error), str(error)
+        assert _names_its_line(path, error), str(error)

@@ -5,19 +5,15 @@ from hypothesis import given, settings
 
 from ipdlab import (
     Action,
-    MatchConfig,
     UnknownStrategyError,
     builtin_fsm,
-    builtin_strategy,
+    fsm_step,
     parse_fsm,
     roster_default,
-    trace_match,
 )
-from ipdlab.rng import SplitMix64
+from ipdlab.kernels import fsm_program, play_one, random_program
 from ipdlab.strategies import (
     CLASSIC_FSMS,
-    FsmStrategy,
-    Random,
     _GOLDEN_SHA256,
     _load_golden,
 )
@@ -25,13 +21,13 @@ from ipdlab.strategies import (
 from conftest import action_sequences
 
 
-def _drive(strategy, opponent_actions, rng=None):
-    """Feed a fixed opponent script to a strategy, collect its plays."""
-    strategy.reset(rng)
-    out = [strategy.opening()]
+def _drive(spec, opponent_actions):
+    """Feed a fixed opponent script to a machine, collect its plays."""
+    state, plays = spec.start_state, [spec.initial_action]
     for opp in opponent_actions:
-        out.append(strategy.respond(opp))
-    return out
+        state, own = fsm_step(spec, state, opp)
+        plays.append(own)
+    return plays
 
 
 def _script(text):
@@ -42,16 +38,16 @@ def _assert_pinned(name, *scripts):
     """Each (opponent script, expected plays) pair plays as pinned, and the
     scripts together visit every (state, opponent action) row of the
     classic's machine, so no row of its FSM text goes unchecked."""
+    spec = CLASSIC_FSMS[name]
     visited = set()
     for opponent, expected in scripts:
-        strat = builtin_strategy(name)()
-        strat.reset()
-        plays = [strat.opening()]
+        state, plays = spec.start_state, [spec.initial_action]
         for opp in _script(opponent):
-            visited.add((strat.state, opp))
-            plays.append(strat.respond(opp))
+            visited.add((state, opp))
+            state, own = fsm_step(spec, state, opp)
+            plays.append(own)
         assert plays == _script(expected), opponent
-    assert visited == set(CLASSIC_FSMS[name].transitions)
+    assert visited == set(spec.transitions)
 
 
 class TestClassicBehaviors:
@@ -81,30 +77,26 @@ class TestClassicBehaviors:
         _assert_pinned("WinStayLoseShift", ("CDCDC", "CCDDCC"))
 
     def test_winstayloseshift_flips_every_loss(self):
-        plays = _drive(builtin_strategy("WinStayLoseShift")(), _script("DDDD"))
+        plays = _drive(CLASSIC_FSMS["WinStayLoseShift"], _script("DDDD"))
         assert plays == _script("CDCDC")
 
 
+def _coin_plays(p, opponent, turns, seed):
+    """A coin's moves against a machine on the kernel, as C/D text."""
+    plays, _ = play_one(random_program(p), fsm_program(CLASSIC_FSMS[opponent]), turns, 0.0, seed)
+    return "".join("CD"[code] for code in plays.tolist())
+
+
 class TestRandom:
-    def test_probability_bounds_checked(self):
-        with pytest.raises(ValueError, match="probability"):
-            Random(1.5)
-
-    def test_needs_a_stream(self):
-        with pytest.raises(ValueError, match="stream"):
-            Random(0.5).reset(None)
-
     def test_extreme_probabilities_are_constant(self):
-        always = _drive(Random(1.0), _script("DDDD"), rng=SplitMix64(7))
-        never = _drive(Random(0.0), _script("CCCC"), rng=SplitMix64(7))
-        assert always == _script("CCCCC")
-        assert never == _script("DDDDD")
+        assert _coin_plays(1.0, "Defector", 5, 7) == "CCCCC"
+        assert _coin_plays(0.0, "Cooperator", 5, 7) == "DDDDD"
 
     def test_same_stream_same_plays(self):
-        one = _drive(Random(0.5), _script("C" * 20), rng=SplitMix64(3))
-        two = _drive(Random(0.5), _script("C" * 20), rng=SplitMix64(3))
+        one = _coin_plays(0.5, "Cooperator", 21, 3)
+        two = _coin_plays(0.5, "Cooperator", 21, 3)
         assert one == two
-        assert Action.C in one and Action.D in one
+        assert "C" in one and "D" in one
 
 
 def _wsls(mine, theirs):
@@ -150,16 +142,8 @@ class TestFsmEncodings:
     @settings(max_examples=40, deadline=None)
     def test_class_matches_machine(self, name, script):
         rule_plays = _drive_rule(_CLASSIC_RULES[name], script)
-        fsm_plays = _drive(builtin_strategy(name)(), script)
+        fsm_plays = _drive(CLASSIC_FSMS[name], script)
         assert rule_plays == fsm_plays
-
-    def test_fsm_strategy_resets_between_matches(self):
-        # one instance, two matches on the generic interpreter
-        strat = FsmStrategy(builtin_fsm("EvolvedFSM6"))
-        cfg = MatchConfig(turns=9, seed=1)
-        first = trace_match(strat, builtin_strategy("Defector")(), cfg)
-        second = trace_match(strat, builtin_strategy("Defector")(), cfg)
-        assert first == second
 
 
 class TestRegistry:
@@ -188,10 +172,6 @@ class TestRegistry:
         for reg in (registry, registry.with_fsm(spec)):
             for name in reg.names():
                 assert reg.get(name).program is not None, name
-
-    def test_builtin_strategy_factories_are_fresh(self):
-        factory = builtin_strategy("Grudger")
-        assert factory() is not factory()
 
     def test_builtin_fsm_rejects_non_machines(self):
         with pytest.raises(UnknownStrategyError, match="not one of the built-in machines"):
