@@ -25,11 +25,12 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .evolution import (
     EvolutionParams,
     ResumedLog,
+    _FreshLog,
     complete_log_size,
     evolve,
     generation_deltas,
@@ -57,12 +58,6 @@ from .tournament import (
     render_ranking_csv,
     run_tournament,
 )
-
-
-@dataclass(frozen=True)
-class CommandOutcome:
-    exit_code: int
-    artifacts: tuple = ()
 
 
 class _UsageError(Exception):
@@ -174,7 +169,6 @@ def _atomic_write_all(staged):
         raise
     for tmp, path in temps:
         os.replace(tmp, path)
-    return tuple(path for path, _ in staged)
 
 
 def _refuse_shared_outputs(*outputs):
@@ -223,7 +217,7 @@ def _fmt(value: float) -> str:
 # ── subcommands ──────────────────────────────────────────────────────
 
 
-def _cmd_tournament(args) -> CommandOutcome:
+def _cmd_tournament(args) -> int:
     _refuse_shared_outputs(("--out", args.out), ("--histories", args.histories),
                            ("--coop-report", args.coop_report))
     reg, names = _resolve_roster(args.roster, default_registry())
@@ -260,16 +254,16 @@ def _cmd_tournament(args) -> CommandOutcome:
                 if stats is not None:
                     lines.append(f"{name},{label},{stats.count},{_fmt(stats.rate)}")
         staged.append((args.coop_report, "\n".join(lines) + "\n"))
-    artifacts = _atomic_write_all(staged)
+    _atomic_write_all(staged)
 
     if not args.out:
         sys.stdout.write(render_ranking_csv(result))
-    for path in artifacts:
+    for path, _ in staged:
         print(f"# wrote {path}")
-    return CommandOutcome(0, artifacts)
+    return 0
 
 
-def _cmd_evolve(args) -> CommandOutcome:
+def _cmd_evolve(args) -> int:
     _refuse_shared_outputs(("--log", args.log), ("--out", args.out))
     if args.jump_threshold is not None and math.isnan(args.jump_threshold):
         raise ValueError(f"--jump-threshold must be a number, got {args.jump_threshold}")
@@ -297,7 +291,7 @@ def _cmd_evolve(args) -> CommandOutcome:
             evolve(seeds, params, reg, log_stream)  # checks the generations asked for
             _print_header("evolve", [("resume", args.log)])
             print(f"# log already reaches generation {len(log_stream.logged) - 1}; nothing to do")
-            return CommandOutcome(0)
+            return 0
 
     _print_header("evolve", [
         ("generations", args.generations),
@@ -315,18 +309,15 @@ def _cmd_evolve(args) -> CommandOutcome:
     ])
 
     if log_stream is None and args.log:
-        log_stream = open(args.log, "w", encoding="utf-8", newline="")
+        log_stream = _FreshLog(args.log)
     try:
         best, records = evolve(seeds, params, reg, log_stream)
     finally:
         if log_stream is not None:
             log_stream.close()
 
-    artifacts = []
     if args.out:
-        artifacts = list(_atomic_write_all([(args.out, serialize_fsm(best))]))
-    if args.log:
-        artifacts.append(args.log)
+        _atomic_write_all([(args.out, serialize_fsm(best))])
 
     final = records[-1]
     print(f"# final {render_generation_line(final)}")
@@ -335,12 +326,13 @@ def _cmd_evolve(args) -> CommandOutcome:
     if args.jump_threshold is not None and len(records) >= 2:
         for pos, delta in generation_deltas(records, args.jump_threshold):
             print(f"# jump at generation {records[pos].index}: {_fmt(delta)}")
-    for path in artifacts:
-        print(f"# wrote {path}")
-    return CommandOutcome(0, tuple(artifacts))
+    for path in (args.out, args.log):
+        if path:
+            print(f"# wrote {path}")
+    return 0
 
 
-def _cmd_prune(args) -> CommandOutcome:
+def _cmd_prune(args) -> int:
     spec = load_fsm_file(args.in_path)
     report = reachable_states(spec)
     pruned = prune_unreachable(spec)
@@ -355,12 +347,12 @@ def _cmd_prune(args) -> CommandOutcome:
         ("kept", ",".join(str(s) for s in sorted(report.reachable))),
         ("removed", ",".join(str(s) for s in sorted(report.unreachable)) or "-"),
     ])
-    artifacts = _atomic_write_all([(args.out_path, serialize_fsm(pruned))])
+    _atomic_write_all([(args.out_path, serialize_fsm(pruned))])
     print(f"# wrote {args.out_path}")
-    return CommandOutcome(0, artifacts)
+    return 0
 
 
-def _cmd_equiv(args) -> CommandOutcome:
+def _cmd_equiv(args) -> int:
     spec_a = load_fsm_file(args.a_path)
     spec_b = load_fsm_file(args.b_path)
     _print_header("equiv", [
@@ -370,10 +362,10 @@ def _cmd_equiv(args) -> CommandOutcome:
     ])
     same = behaviorally_equivalent(spec_a, spec_b, horizon=args.horizon)
     print("equivalent" if same else "not equivalent")
-    return CommandOutcome(0)
+    return 0
 
 
-def _cmd_trace(args) -> CommandOutcome:
+def _cmd_trace(args) -> int:
     reg = default_registry()
     player_a = _resolve_player(args.a_name, reg)
     player_b = _resolve_player(args.b_name, reg)
@@ -393,10 +385,10 @@ def _cmd_trace(args) -> CommandOutcome:
         print(f"{i + 1:4d} {record.actions_a[i]:>8s} {record.actions_b[i]:>8s} "
               f"{str(sa):>7s} {str(sb):>7s}")
     print(f"# payoffs {record.payoff_a:g} {record.payoff_b:g}")
-    return CommandOutcome(0)
+    return 0
 
 
-def _cmd_rates(args) -> CommandOutcome:
+def _cmd_rates(args) -> int:
     histories = read_history_dump(args.in_path)
     report = cooperation_rates(histories, args.player)
     _print_header("rates", [
@@ -411,7 +403,7 @@ def _cmd_rates(args) -> CommandOutcome:
             print(f"{label:>7s} absent")
         else:
             print(f"{label:>7s} {stats.count:5d} {_fmt(stats.rate)}")
-    return CommandOutcome(0)
+    return 0
 
 
 _COMMANDS = {
@@ -424,34 +416,33 @@ _COMMANDS = {
 }
 
 
-def cli_main(argv) -> CommandOutcome:
-    """Parse and run one command; never raises for user-level problems."""
+def cli_main(argv) -> int:
+    """Parse and run one command and return its exit code; never raises
+    for user-level problems."""
     parser = _parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         print(parser.format_usage().rstrip(), file=sys.stderr)
-        return CommandOutcome(1)
+        return 1
 
     if args.command is None:
         print(parser.format_usage().rstrip(), file=sys.stderr)
-        return CommandOutcome(1)
+        return 1
 
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, UnknownStrategyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return CommandOutcome(2)
+        return 2
 
 
 def main(argv=None) -> int:
     try:
-        outcome = cli_main(sys.argv[1:] if argv is None else list(argv))
+        return cli_main(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:  # argparse --help paths
-        code = exc.code if isinstance(exc.code, int) else 0
-        return code
-    return outcome.exit_code
+        return exc.code if isinstance(exc.code, int) else 0
 
 
 def entry():

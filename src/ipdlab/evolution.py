@@ -20,19 +20,17 @@ be re-rolled into a different score.
 
 import hashlib
 import math
-import os
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels
-from .fsm import FsmSpec, decode_lines, parse_fsm_line, serialize_fsm_line, validate_fsm
+from .fsm import (_BOTH_ACTIONS, FsmSpec, decode_lines, parse_fsm_line, serialize_fsm_line,
+                  validate_fsm)
 from .game import Action, score_actions
 from .rng import GOLDEN, MASK64, SplitMix64, derive_seed
 from .strategies import default_registry, roster_default
-
-_BOTH_ACTIONS = (Action.C, Action.D)
 
 
 @dataclass(frozen=True)
@@ -92,12 +90,10 @@ class GenerationRecord:
 _Genome = namedtuple("_Genome", "name ids program key")
 
 
-def _genome(name, ids, program, key=None) -> _Genome:
-    """The loop's form; key, unless given, is genome_key rendered from program."""
-    if key is None:
-        codes = (2 * program.next_state + program.emit).ravel().tolist()
-        key = _keys([ids], [codes], [2 * program.start + program.first])[0]
-    return _Genome(name, ids, program, key)
+def _genome(name, ids, program) -> _Genome:
+    """The loop's form, with genome_key rendered from program."""
+    codes = (2 * program.next_state + program.emit).ravel().tolist()
+    return _Genome(name, ids, program, _keys([ids], [codes], [2 * program.start + program.first])[0])
 
 
 def _keys(ids_of, codes, openings) -> list:
@@ -118,8 +114,8 @@ def _keys(ids_of, codes, openings) -> list:
     return keys
 
 
-def _from_spec(spec: FsmSpec, key=None) -> _Genome:
-    return _genome(spec.name, tuple(sorted(set(spec.states))), kernels.fsm_program(spec), key)
+def _from_spec(spec: FsmSpec) -> _Genome:
+    return _genome(spec.name, tuple(sorted(set(spec.states))), kernels.fsm_program(spec))
 
 
 def _to_spec(genome: _Genome) -> FsmSpec:
@@ -164,10 +160,6 @@ def _mutate_all(parents, rate: float, rngs, names) -> list:
             for i, (parent, name) in enumerate(zip(parents, names))]
 
 
-def _mutate(genome: _Genome, rate: float, rng: SplitMix64, name: str) -> _Genome:
-    return _mutate_all([genome], rate, [rng], [name])[0]
-
-
 def _random(num_states: int, rng: SplitMix64, name: str) -> _Genome:
     moves = [(rng.randrange(num_states), rng.randrange(2)) for _ in range(2 * num_states)]
     start = rng.randrange(num_states)
@@ -186,7 +178,7 @@ def mutate_fsm(spec: FsmSpec, rate: float, rng: SplitMix64) -> FsmSpec:
     """
     if not (0.0 <= rate <= 1.0):
         raise ValueError(f"mutation rate must lie in [0, 1], got {rate}")
-    child = _to_spec(_mutate(_from_spec(spec), rate, rng, spec.name))
+    child = _to_spec(_mutate_all([_from_spec(spec)], rate, [rng], [spec.name])[0])
     return replace(spec, transitions=child.transitions, initial_action=child.initial_action)
 
 
@@ -225,7 +217,11 @@ def genome_key(spec: FsmSpec) -> str:
 
 
 def _batch_fitness(genomes, params: EvolutionParams, registry) -> list:
-    """batch_fitness on the loop's form."""
+    """fitness() of each genome in the loop's form, from one kernel batch.
+
+    A value depends only on its genome's content and params, not on its
+    position or neighbours; a genome's seeds are derived only if one of
+    its matches draws random numbers."""
     opponents = [registry.get(name).program for name in params.opponent_roster]
     pairs = [(genome.program, opp) for genome in genomes for opp in opponents]
     roots = {}
@@ -250,19 +246,6 @@ def _batch_fitness(genomes, params: EvolutionParams, registry) -> list:
     return [math.fsum(row) / params.repetitions for row in (totals / denominator).tolist()]
 
 
-def batch_fitness(specs, params: EvolutionParams, registry=None, keys=None) -> list:
-    """fitness() of every spec in specs, from one kernel batch.
-
-    Each value is a pure function of its genome's content and params,
-    so it depends on neither its position in specs nor its neighbours.
-    keys, when given, holds genome_key(spec) for each spec, sparing its
-    recomputation; a genome's seeds are derived only if one of its
-    matches draws random numbers.
-    """
-    genomes = [_from_spec(spec, keys[i] if keys else None) for i, spec in enumerate(specs)]
-    return _batch_fitness(genomes, params, registry if registry is not None else default_registry())
-
-
 def fitness(spec: FsmSpec, params: EvolutionParams, registry=None) -> float:
     """Mean normalized score of spec against the opponent roster.
 
@@ -270,7 +253,8 @@ def fitness(spec: FsmSpec, params: EvolutionParams, registry=None) -> float:
     for params.turns turns; per repetition its payoff total is divided
     by (turns x opponents), and the repetitions are averaged.
     """
-    return batch_fitness([spec], params, registry)[0]
+    reg = registry if registry is not None else default_registry()
+    return _batch_fitness([_from_spec(spec)], params, reg)[0]
 
 
 # ── the search loop ──────────────────────────────────────────────────
@@ -305,7 +289,6 @@ def evolve(seed_genomes, params: EvolutionParams, registry=None, log_stream=None
 
     cache = {}
     records = []
-    best_ever = None
     for gen in range(params.generations + 1):
         fresh = {genome.key: genome for genome in population if genome.key not in cache}
         cache.update(zip(fresh, _batch_fitness(list(fresh.values()), params, reg)))
@@ -318,8 +301,6 @@ def evolve(seed_genomes, params: EvolutionParams, registry=None, log_stream=None
         if log_stream is not None:
             log_stream.write(render_generation_line(record) + "\n")
             log_stream.flush()
-        if best_ever is None or record.best_fitness > best_ever[0]:
-            best_ever = (record.best_fitness, record.best_genome)
 
         if gen == params.generations:
             break
@@ -331,7 +312,7 @@ def evolve(seed_genomes, params: EvolutionParams, registry=None, log_stream=None
         population = survivors + _mutate_all(parents, params.mutation_rate, rngs,
                                              [f"g{gen + 1}c{slot}" for slot in slots])
 
-    return best_ever[1], records
+    return max(records, key=lambda record: record.best_fitness).best_genome, records
 
 
 # ── generation log I/O and analysis ──────────────────────────────────
@@ -395,8 +376,9 @@ class ResumedLog:
     def __init__(self, path):
         self.path = path
         read_generation_log(path)  # refuses a log that does not parse
+        self._keep = complete_log_size(path)
         with open(path, "rb") as fh:
-            self.logged = decode_lines(path, fh.read(complete_log_size(path)))
+            self.logged = decode_lines(path, fh.read(self._keep))
         self._checked = 0
         self._stream = None
 
@@ -408,8 +390,9 @@ class ResumedLog:
             self._checked += 1
             return
         if self._stream is None:
-            os.truncate(self.path, complete_log_size(self.path))
+            # "a" writes at the end of the file, wherever truncate leaves it
             self._stream = open(self.path, "a", encoding="utf-8", newline="")
+            self._stream.truncate(self._keep)
         self._stream.write(line)
 
     def flush(self):
@@ -419,6 +402,14 @@ class ResumedLog:
     def close(self):
         if self._stream is not None:
             self._stream.close()
+
+
+class _FreshLog(ResumedLog):
+    """evolve()'s log stream for a new run: path is created or emptied at
+    the first line, so a run refused before it leaves the old file."""
+
+    def __init__(self, path):
+        self.path, self.logged, self._keep, self._checked, self._stream = path, [], 0, 0, None
 
 
 def generation_deltas(log, threshold: float) -> list:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 from . import kernels
-from .fsm import FsmSpec, parse_fsm
+from .fsm import FsmSpec, FsmValidationError, parse_fsm, validate_fsm
 
 _GOLDEN_SHA256 = {
     "FirstPrac": "23e24bc26f60cbaee1cd446f613b4ac56dcf493526a28beee5597bf46cf2acf3",
@@ -161,7 +161,10 @@ class Registry:
 
 
 def fsm_entry(spec: FsmSpec) -> RegisteredStrategy:
-    """The roster entry that plays a valid machine."""
+    """The roster entry that plays spec; FsmValidationError if it is invalid."""
+    violations = validate_fsm(spec)
+    if violations:
+        raise FsmValidationError(violations)
     return RegisteredStrategy(
         id=StrategyId(spec.name, "fsm"),
         program=kernels.fsm_program(spec),
@@ -169,12 +172,9 @@ def fsm_entry(spec: FsmSpec) -> RegisteredStrategy:
     )
 
 
-def _behavioral_entry(name: str) -> RegisteredStrategy:
-    return replace(fsm_entry(CLASSIC_FSMS[name]), id=StrategyId(name, "behavioral"))
-
-
 def _build_default_registry() -> Registry:
-    entries = [_behavioral_entry(name) for name in _CLASSIC_FSM_TEXT]
+    entries = [replace(fsm_entry(spec), id=StrategyId(name, "behavioral"))
+               for name, spec in CLASSIC_FSMS.items()]
     entries.append(
         RegisteredStrategy(
             id=StrategyId("Random", "stochastic"),
@@ -202,25 +202,7 @@ def builtin_fsm(name: str) -> FsmSpec:
     return entry.spec
 
 
-_ROSTER_DEFAULT_NAMES = (
-    "Cooperator",
-    "Defector",
-    "TitForTat",
-    "TitForTwoTats",
-    "Grudger",
-    "Alternator",
-    "WinStayLoseShift",
-    "Random",
-    "FirstPrac",
-    "SecondPrac",
-    "SecondPrac2",
-    "SecondPrac3",
-    "FourthPrac",
-    "EvolvedFSM8",
-    "EvolvedFSM6",
-)
-
-
 def roster_default():
-    """The full built-in line-up, in its fixed canonical order."""
-    return [_DEFAULT_REGISTRY.get(n).id for n in _ROSTER_DEFAULT_NAMES]
+    """The full built-in line-up, in registration order: the classics,
+    Random, then the bundled machines."""
+    return [entry.id for entry in _DEFAULT_REGISTRY._entries.values()]

@@ -17,6 +17,7 @@ across repetitions, ties broken by roster position.
 import math
 import statistics
 from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -83,13 +84,8 @@ def run_tournament(config: TournamentConfig, registry=None) -> TournamentResult:
         raise ValueError(f"roster entries must be distinct, got {names}")
     by_name = dict(zip(names, entries))
 
-    pairs = []
-    for i in range(len(names)):
-        start_j = i if config.include_self_matches else i + 1
-        for j in range(start_j, len(names)):
-            a, b = sorted((names[i], names[j]))
-            pairs.append((a, b))
-    pairs.sort()
+    pairing = combinations_with_replacement if config.include_self_matches else combinations
+    pairs = sorted(tuple(sorted(pair)) for pair in pairing(names, 2))
 
     def seed_of(pair, rep):
         return derive_seed(config.master_seed, "match", *pairs[pair], rep)

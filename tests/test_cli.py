@@ -613,6 +613,21 @@ class TestEvolveCommand:
         assert captured.out == ""
         assert not log.exists()
 
+    @pytest.mark.parametrize("copies, error", [
+        (1, "seed genome 'SecondPrac' has 10 states, more than num_states = 4"),
+        (6, "6 seed genomes exceed population size 5"),
+    ], ids=["too_many_states", "too_many_seeds"])
+    def test_refused_seeds_leave_an_existing_log_as_it_was(self, tmp_path, capsys, copies, error):
+        log = tmp_path / "gen.log"
+        assert main([*self.ARGS, "--log", str(log)]) == 0
+        before = log.read_bytes()
+        seed = _write_fsm(tmp_path, "seed", _golden_text("SecondPrac"))
+        args = [*self.ARGS, "--log", str(log)] + ["--seed-fsm", str(seed)] * copies
+        capsys.readouterr()
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert log.read_bytes() == before
+
 
 class TestAtomicWrites:
     @pytest.mark.parametrize("argv, flags, path", [

@@ -29,11 +29,9 @@ from ipdlab import kernels
 from ipdlab.evolution import (
     _batch_fitness,
     _from_spec,
-    _mutate,
     _mutate_all,
     _pad_genome,
     _to_spec,
-    batch_fitness,
     genome_key,
     render_generation_line,
 )
@@ -173,7 +171,7 @@ class TestMutation:
         expected = _reference_mutate_fsm(spec, rate, reference_rng)
         assert mutate_fsm(spec, rate, rng) == expected
         assert rng.state == reference_rng.state  # the same number of draws
-        child = _mutate(_from_spec(spec), rate, SplitMix64(seed), "child")
+        child = _mutate_all([_from_spec(spec)], rate, [SplitMix64(seed)], ["child"])[0]
         assert child.key == _sha256_key(expected)
 
     @given(specs=st.lists(any_fsm_specs, min_size=1, max_size=6),
@@ -266,6 +264,10 @@ class TestFitness:
         assert 0.0 <= value <= 5.0
 
 
+def _batch(specs, params):
+    return _batch_fitness([_from_spec(spec) for spec in specs], params, default_registry())
+
+
 class TestBatchFitness:
     """One kernel batch for many genomes gives each genome its own fitness."""
 
@@ -279,16 +281,14 @@ class TestBatchFitness:
         params = _params(opponent_roster=("Random", "TitForTat", "EvolvedFSM6"),
                          turns=12, repetitions=3, noise=noise, seed=seed)
         expected = [fitness(genome, params) for genome in genomes]
-        assert batch_fitness(genomes, params) == expected
+        assert _batch(genomes, params) == expected
         # a duplicate and a reversed order: neither position nor neighbours count
         doubled = genomes + genomes[:1]
-        assert batch_fitness(doubled, params) == expected + expected[:1]
-        assert batch_fitness(genomes[::-1], params) == expected[::-1]
-        keys = [genome_key(genome) for genome in genomes]
-        assert batch_fitness(genomes, params, keys=keys) == expected
+        assert _batch(doubled, params) == expected + expected[:1]
+        assert _batch(genomes[::-1], params) == expected[::-1]
 
     def test_empty_batch(self):
-        assert batch_fitness([], _params()) == []
+        assert _batch([], _params()) == []
 
     @given(
         genomes=st.lists(fsm_specs(max_states=5), min_size=1, max_size=4),

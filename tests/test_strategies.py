@@ -5,8 +5,11 @@ from hypothesis import given, settings
 
 from ipdlab import (
     Action,
+    FsmSpec,
+    FsmValidationError,
     UnknownStrategyError,
     builtin_fsm,
+    fsm_entry,
     fsm_step,
     parse_fsm,
     roster_default,
@@ -166,6 +169,18 @@ class TestRegistry:
         spec = parse_fsm("fsm TitForTat\nstart 1 C\n1 C -> 1 C\n1 D -> 1 D\n")
         with pytest.raises(ValueError, match="duplicate strategy name"):
             registry.with_fsm(spec)
+
+    @pytest.mark.parametrize("transitions, violation", [
+        ({(1, Action.C): (2, Action.C), (1, Action.D): (1, Action.D)},
+         "dangling target 1/C->2"),
+        ({(1, Action.C): (1, Action.C)}, "missing transition 1/D"),
+    ], ids=["dangling_target", "missing_row"])
+    def test_an_invalid_spec_makes_no_entry(self, registry, transitions, violation):
+        spec = FsmSpec("Broken", (1,), 1, Action.C, transitions)
+        for make in (fsm_entry, registry.with_fsm):
+            with pytest.raises(FsmValidationError) as info:
+                make(spec)
+            assert info.value.violations == [violation]
 
     def test_every_entry_has_a_kernel_program(self, registry):
         spec = parse_fsm("fsm Custom\nstart 1 D\n1 C -> 1 D\n1 D -> 1 D\n")
