@@ -17,6 +17,7 @@ from .evolution import (
     read_generation_log,
 )
 from .fsm import (
+    Action,
     FsmParseError,
     FsmSpec,
     FsmValidationError,
@@ -36,7 +37,6 @@ from .fsm import (
 )
 from .game import (
     DEFAULT_PAYOFFS,
-    Action,
     MatchConfig,
     MatchRecord,
     PayoffMatrix,

@@ -15,10 +15,11 @@ Every run prints its resolved configuration as `# key = value` lines so
 an artifact can always be traced back to the flags that made it.
 Result files are written to a temp name and renamed on success; the
 only exception is the evolve --log stream, which is flushed line by
-line so crashed runs can resume from it.  A resume reruns the search
-from generation 0, refuses a logged generation that the rerun does not
-reproduce, and appends the rest.  Two output flags of one command may
-not name the same file.
+line so crashed runs can resume from it.  A resume reads the log once,
+reruns the search from generation 0, refuses a logged generation that
+the rerun does not reproduce, and appends the rest.  Two output flags
+of one command may not name the same file.  Every input file is read
+whole, and a byte that is not UTF-8 is refused, with its line, first.
 """
 
 import argparse
@@ -29,12 +30,11 @@ from dataclasses import replace
 
 from .evolution import (
     EvolutionParams,
-    ResumedLog,
-    _FreshLog,
-    complete_log_size,
+    LogStream,
     evolve,
     generation_deltas,
     render_generation_line,
+    resume_log,
 )
 from .fsm import (
     FsmValidationError,
@@ -285,13 +285,15 @@ def _cmd_evolve(args) -> int:
     if args.resume and not args.log:
         raise ValueError("--resume needs --log to know where the old run lives")
     log_stream = None
-    if args.resume and os.path.exists(args.log) and complete_log_size(args.log) > 0:
-        log_stream = ResumedLog(args.log)
+    if args.resume and os.path.exists(args.log):
+        log_stream = resume_log(args.log)
         if len(log_stream.logged) > params.generations:
             evolve(seeds, params, reg, log_stream)  # checks the generations asked for
             _print_header("evolve", [("resume", args.log)])
             print(f"# log already reaches generation {len(log_stream.logged) - 1}; nothing to do")
             return 0
+    elif args.log:
+        log_stream = LogStream(args.log)
 
     _print_header("evolve", [
         ("generations", args.generations),
@@ -308,8 +310,6 @@ def _cmd_evolve(args) -> int:
         ("backend", active_backend()),
     ])
 
-    if log_stream is None and args.log:
-        log_stream = _FreshLog(args.log)
     try:
         best, records = evolve(seeds, params, reg, log_stream)
     finally:

@@ -7,8 +7,8 @@ batch (genomes seen before keep their cached fitness), keeps the top
 `bottleneck` untouched, and refills by mutating survivors picked
 uniformly at random.  Long runs are the point, so the generation log
 can stream to disk as it goes.  A crashed run resumes by running again
-with a ResumedLog stream, which checks the logged generations and
-appends the rest.
+with the LogStream that resume_log reads from its log, which checks the
+logged generations and appends the rest.
 
 Fitness is a pure function of genome content and params: match seeds
 are derived from a hash of the genome's canonical serialization (name
@@ -26,9 +26,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .fsm import (_BOTH_ACTIONS, FsmSpec, decode_lines, parse_fsm_line, serialize_fsm_line,
+from .fsm import (_BOTH_ACTIONS, Action, FsmSpec, parse_fsm_line, read_text, serialize_fsm_line,
                   validate_fsm)
-from .game import Action, score_actions
+from .game import score_actions
 from .rng import GOLDEN, MASK64, SplitMix64, derive_seed
 from .strategies import default_registry, roster_default
 
@@ -72,6 +72,11 @@ class EvolutionParams:
         object.__setattr__(self, "opponent_roster", tuple(roster))
         if not self.opponent_roster:
             raise ValueError("opponent_roster must not be empty")
+        # the registry looks names up case-insensitively
+        if len({name.lower() for name in self.opponent_roster}) != len(self.opponent_roster):
+            raise ValueError(
+                f"opponent_roster entries must be distinct, got {list(self.opponent_roster)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -265,7 +270,7 @@ def evolve(seed_genomes, params: EvolutionParams, registry=None, log_stream=None
 
     When log_stream is given, each record is written and flushed as it
     is produced, so a killed run still leaves a usable log behind.  The
-    same arguments with a ResumedLog as log_stream resume that run.
+    same arguments with resume_log(path) as log_stream resume that run.
     """
     reg = registry if registry is not None else default_registry()
     if len(seed_genomes) > params.population_size:
@@ -326,24 +331,20 @@ def render_generation_line(record: GenerationRecord) -> str:
     )
 
 
-def complete_log_size(path) -> int:
-    """Bytes up to a log's last line end, '\\n' or '\\r' as text mode reads.
+def _complete_lines(path) -> tuple:
+    """A log's complete lines, without their line ends, and the bytes they span.
 
-    A kill during a write can leave an unfinished line after them.
+    An unfinished last line, which a kill during a write leaves behind,
+    is cut before decoding, because it may end inside a character.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    return max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+    size = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+    return read_text(path, data[:size]).split("\n")[:-1], size
 
 
-def read_generation_log(path) -> list:
-    """Parse a generation log; its indices must run 0, 1, 2, ...
-
-    An unfinished last line, which a kill during a write leaves behind,
-    is not read.
-    """
-    with open(path, "rb") as fh:
-        lines = decode_lines(path, fh.read(complete_log_size(path)))
+def _records(path, lines) -> list:
+    """The records of a log's lines; their indices must run 0, 1, 2, ..."""
     records = []
     for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -353,6 +354,8 @@ def read_generation_log(path) -> list:
         try:
             if len(parts) != 4:
                 raise ValueError("expected 'generation,best,mean,fsm'")
+            if not (parts[0].isascii() and parts[0].isdigit()):
+                raise ValueError(f"expected a generation index of digits 0-9, got {parts[0]!r}")
             record = GenerationRecord(int(parts[0]), float(parts[1]), float(parts[2]),
                                       parse_fsm_line(parts[3]))
             if record.index != len(records):
@@ -365,26 +368,35 @@ def read_generation_log(path) -> list:
     return records
 
 
-class ResumedLog:
-    """evolve()'s log stream when it reruns the run logged at path.
+def read_generation_log(path) -> list:
+    """Parse a generation log; its indices must run 0, 1, 2, ...
+
+    An unfinished last line, which a kill during a write leaves behind,
+    is not read.
+    """
+    return _records(path, _complete_lines(path)[0])
+
+
+class LogStream:
+    """evolve()'s log stream, for a new run or for rerunning the run whose
+    complete lines, logged, span the first size bytes of path.
 
     A generation the log holds must come out as its logged text, or
     ValueError names it and the file is left as it was.  The first new
-    line cuts an unfinished last line, and new lines are appended.
+    line cuts the file to size bytes, which drops an unfinished last line
+    or, for a new run, creates or empties it, and new lines are appended.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, logged=(), size=0):
         self.path = path
-        read_generation_log(path)  # refuses a log that does not parse
-        self._keep = complete_log_size(path)
-        with open(path, "rb") as fh:
-            self.logged = decode_lines(path, fh.read(self._keep))
+        self.logged = logged
+        self._size = size
         self._checked = 0
         self._stream = None
 
     def write(self, line):
         if self._checked < len(self.logged):
-            if line != self.logged[self._checked]:
+            if line != self.logged[self._checked] + "\n":
                 raise ValueError(f"{self.path}: generation {self._checked} differs "
                                  "from a rerun with these flags")
             self._checked += 1
@@ -392,7 +404,7 @@ class ResumedLog:
         if self._stream is None:
             # "a" writes at the end of the file, wherever truncate leaves it
             self._stream = open(self.path, "a", encoding="utf-8", newline="")
-            self._stream.truncate(self._keep)
+            self._stream.truncate(self._size)
         self._stream.write(line)
 
     def flush(self):
@@ -404,12 +416,13 @@ class ResumedLog:
             self._stream.close()
 
 
-class _FreshLog(ResumedLog):
-    """evolve()'s log stream for a new run: path is created or emptied at
-    the first line, so a run refused before it leaves the old file."""
-
-    def __init__(self, path):
-        self.path, self.logged, self._keep, self._checked, self._stream = path, [], 0, 0, None
+def resume_log(path) -> LogStream:
+    """The stream that reruns the run logged at path, read once; a log
+    without a complete line is a new run's."""
+    lines, size = _complete_lines(path)
+    if size:
+        _records(path, lines)  # refuses a log that does not parse
+    return LogStream(path, lines, size)
 
 
 def generation_deltas(log, threshold: float) -> list:

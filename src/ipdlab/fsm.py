@@ -1,4 +1,4 @@
-"""Finite-state-machine strategies: data model, analysis, and text format.
+"""Finite-state-machine strategies: the C/D Action, data model, analysis, text format.
 
 A machine is a Moore-style automaton keyed on the opponent's last action.
 It starts in `start_state` and plays `initial_action` on turn one; from
@@ -14,18 +14,36 @@ The text format is line oriented::
     1 D -> 1 D
 
 First a `fsm <name>` line, then `start <state> <action>`, then one line
-per transition.  `#` starts a comment, blank lines are skipped, tokens
-are separated by any amount of whitespace.  Canonical serialization
-emits states in ascending order with the C row before the D row, single
-spaces between tokens, and a trailing newline.
+per transition; state ids are ASCII digits.  `#` starts a comment, blank
+lines are skipped, tokens are separated by any amount of whitespace.
+Canonical serialization emits states in ascending order with the C row
+before the D row, single spaces between tokens, and a trailing newline.
 """
 
 import io
 from collections import deque
 from dataclasses import dataclass, field, replace
+from enum import IntEnum
 from typing import Mapping
 
-from .game import Action
+
+class Action(IntEnum):
+    """Cooperate or defect.  The integer values double as array indices."""
+
+    C = 0
+    D = 1
+
+    def flip(self) -> "Action":
+        return Action(self.value ^ 1)
+
+    @classmethod
+    def from_token(cls, token: str) -> "Action":
+        if token == "C":
+            return cls.C
+        if token == "D":
+            return cls.D
+        raise ValueError(f"expected action token 'C' or 'D', got {token!r}")
+
 
 _BOTH_ACTIONS = (Action.C, Action.D)
 
@@ -272,8 +290,11 @@ def compare_transitions(a: FsmSpec, b: FsmSpec) -> TransitionDiff:
 
 
 def _parse_state_id(token: str, line_number: int) -> int:
+    """A state id as serialize_fsm writes it: plain ASCII digits, not 0."""
     try:
-        value = int(token)
+        if not (token.isascii() and token.isdigit()):
+            raise ValueError(token)
+        value = int(token)  # refuses more digits than sys.get_int_max_str_digits()
     except ValueError:
         raise FsmParseError(f"expected a state id, got {token!r}", line_number) from None
     if value < 1:
@@ -392,45 +413,31 @@ def parse_fsm_line(text: str) -> FsmSpec:
         raise FsmValidationError(exc.violations, exc.line_number, "statement") from None
 
 
-def _not_utf8(path, data: bytes) -> ValueError:
-    """The error naming the file and line of data's first byte that is not UTF-8."""
-    # bytes.splitlines breaks where text mode does, and no UTF-8
-    # sequence spans a newline, so one line holds the first bad byte.
-    for line_number, raw in enumerate(data.splitlines(), start=1):
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return ValueError(
-                f"{path}: line {line_number}: byte 0x{raw[exc.start]:02x} "
-                "is not UTF-8 text"
-            )
-    raise AssertionError("undecodable bytes with every line decodable")
+def read_text(path, data: bytes = None) -> str:
+    """The text of the file at path, or of data read from it, with each
+    line end ('\\r\\n', '\\r' or '\\n', as text mode reads them) made '\\n'.
 
-
-def read_lines(path):
-    """Yield a UTF-8 text file's lines, each ending in '\\n' as text mode reads it.
-
-    A byte that is not UTF-8 raises ValueError naming the file and line.
+    A byte that is not UTF-8 raises ValueError naming the file and its
+    line, so every reader names it before any other fault of the file.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield from fh
-    except UnicodeDecodeError:
+    if data is None:
         with open(path, "rb") as fh:
-            raise _not_utf8(path, fh.read()) from None
-
-
-def decode_lines(path, data: bytes) -> list:
-    """data, read from path, split into lines as read_lines splits the file."""
+            data = fh.read()
     try:
-        return io.StringIO(data.decode("utf-8"), newline=None).readlines()
-    except UnicodeDecodeError:
-        raise _not_utf8(path, data) from None
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]  # '\r\n' ends one line, as in text mode
+        line_number = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ValueError(f"{path}: line {line_number}: byte 0x{data[exc.start]:02x} "
+                         "is not UTF-8 text") from None
+    # text mode's own translation, which returns a text without '\r' at
+    # once; str.replace("\r\n", "\n") slowly scans every character even then
+    return io.IncrementalNewlineDecoder(None, translate=True).decode(text, final=True)
 
 
 def load_fsm_file(path) -> FsmSpec:
     """Parse a machine from a file on disk; an error's message starts with the path."""
-    text = "".join(read_lines(path))
+    text = read_text(path)
     try:
         return parse_fsm(text)
     except ValueError as exc:

@@ -20,30 +20,11 @@ a machine about its own state.
 """
 
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-
-
-class Action(IntEnum):
-    """Cooperate or defect.  The integer values double as array indices."""
-
-    C = 0
-    D = 1
-
-    def flip(self) -> "Action":
-        return Action(self.value ^ 1)
-
-    @classmethod
-    def from_token(cls, token: str) -> "Action":
-        if token == "C":
-            return cls.C
-        if token == "D":
-            return cls.D
-        raise ValueError(f"expected action token 'C' or 'D', got {token!r}")
 
 
 @dataclass(frozen=True)

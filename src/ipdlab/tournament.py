@@ -22,7 +22,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from . import kernels
-from .fsm import read_lines
+from .fsm import read_text
 from .game import MatchRecord, match_records
 from .rng import derive_seed
 from .strategies import default_registry
@@ -249,19 +249,14 @@ def read_history_dump(path) -> dict:
     digits than int() reads, a payoff that is not a finite number, and a
     match named twice.
 
-    The file is read whole, cut into fields, and each rule is checked on
-    a whole column of them.  If a check fails, or the file is not UTF-8
-    or does not end in a line end, its lines are walked one by one
-    instead, so a refusal names the first bad line and the first rule it
-    breaks.  A file that passes the column checks reads as the walk reads it.
+    The file is read whole, and a byte that is not UTF-8 is named before
+    any other fault.  The text is cut into fields, and each rule is checked
+    on a whole column of them.  If a check fails, or the text does not end
+    in a line end, its lines are walked one by one instead, so a refusal
+    names the first bad line and the first rule it breaks.  A file that
+    passes the column checks reads as the walk reads it.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        # the line walk reads the file as a stream, so a bad line before the
-        # undecodable byte is named first
-        return _read_dump_lines(path, read_lines(path))
+    text = read_text(path)
     histories = _dump_columns(text)
     if histories is None:
         return _read_dump_lines(path, text.split("\n"))
@@ -306,54 +301,35 @@ def _dump_columns(text):
 
 def _read_dump_lines(path, lines) -> dict:
     """read_history_dump one line at a time: lines are the dump's lines,
-    numbered from 1, with or without their '\\n'."""
+    numbered from 1, without their line ends."""
     histories = {}
-    for line_number, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
+    for line_number, line in enumerate(lines, start=1):
         if not line:
             continue
         parts = line.split("|")
-        if len(parts) != 7:
-            raise ValueError(
-                f"{path}: line {line_number}: expected 7 pipe-separated "
-                f"fields, got {len(parts)}"
-            )
-        name_a, name_b, rep_str, acts_a, acts_b, pay_a, pay_b = parts
-        for name in (name_a, name_b):
-            if not name:
-                raise ValueError(
-                    f"{path}: line {line_number}: expected a strategy name, got {name!r}"
-                )
-        for acts in (acts_a, acts_b):
-            if not acts or acts.translate(_DROP_CD):
-                raise ValueError(
-                    f"{path}: line {line_number}: expected C/D action text, got {acts!r}"
-                )
-        if not (rep_str.isascii() and rep_str.isdigit()):
-            raise ValueError(
-                f"{path}: line {line_number}: expected a repetition of digits 0-9, "
-                f"got {rep_str!r}"
-            )
         try:
+            if len(parts) != 7:
+                raise ValueError(f"expected 7 pipe-separated fields, got {len(parts)}")
+            name_a, name_b, rep_str, acts_a, acts_b, pay_a, pay_b = parts
+            for name in (name_a, name_b):
+                if not name:
+                    raise ValueError(f"expected a strategy name, got {name!r}")
+            for acts in (acts_a, acts_b):
+                if not acts or acts.translate(_DROP_CD):
+                    raise ValueError(f"expected C/D action text, got {acts!r}")
+            if not (rep_str.isascii() and rep_str.isdigit()):
+                raise ValueError(f"expected a repetition of digits 0-9, got {rep_str!r}")
             payoff_a, payoff_b = float(pay_a), float(pay_b)
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {line_number}: {exc}") from None
-        if not (math.isfinite(payoff_a) and math.isfinite(payoff_b)):
-            bad = pay_b if math.isfinite(payoff_a) else pay_a
-            raise ValueError(
-                f"{path}: line {line_number}: expected a finite payoff, got {bad!r}"
-            )
-        if len(acts_a) != len(acts_b):
-            raise ValueError(
-                f"{path}: line {line_number}: action strings differ in length"
-            )
-        try:  # int() refuses a repetition longer than sys.get_int_max_str_digits()
+            if not (math.isfinite(payoff_a) and math.isfinite(payoff_b)):
+                bad = pay_b if math.isfinite(payoff_a) else pay_a
+                raise ValueError(f"expected a finite payoff, got {bad!r}")
+            if len(acts_a) != len(acts_b):
+                raise ValueError("action strings differ in length")
+            # int() refuses a repetition longer than sys.get_int_max_str_digits()
             key = (name_a, name_b, int(rep_str))
+            if key in histories:
+                raise ValueError(f"duplicate match {name_a}|{name_b}|{rep_str}")
         except ValueError as exc:
             raise ValueError(f"{path}: line {line_number}: {exc}") from None
-        if key in histories:
-            raise ValueError(
-                f"{path}: line {line_number}: duplicate match {name_a}|{name_b}|{rep_str}"
-            )
         histories[key] = MatchRecord(acts_a, acts_b, payoff_a, payoff_b)
     return histories

@@ -148,6 +148,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {path}: line 5001: byte 0xff is not UTF-8 text\n")
 
+    @pytest.mark.parametrize("command, bad_line", [
+        ("prune --in {path} --out {path}.out", b"fsm two names"),
+        ("rates --in {path} --player A", b"A|B|0|CX|DD|0|10"),
+        ("evolve --generations 1 --log {path} --resume", b"0,1.0"),
+    ], ids=["fsm", "history_dump", "generation_log"])
+    @pytest.mark.parametrize("gap", [1, 9000], ids=["near", "past_8kb"])
+    def test_a_byte_that_is_not_utf8_is_named_before_an_earlier_bad_line(
+            self, tmp_path, capsys, command, bad_line, gap):
+        # each reader decodes the whole file before it parses a line
+        path = tmp_path / "input.txt"
+        path.write_bytes(bad_line + b"\n" * gap + b"\xff\n")
+        assert main(command.format(path=path).split()) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line {gap + 1}: byte 0xff is not UTF-8 text\n")
+
     def test_missing_fsm_file_is_data_error(self, tmp_path, capsys):
         assert main(["prune", "--in", str(tmp_path / "gone.fsm"),
                      "--out", str(tmp_path / "o.fsm")]) == 2
@@ -587,6 +602,32 @@ class TestEvolveCommand:
                 f"error: {log}: generation 0 differs from a rerun with these flags\n")
         assert log.read_bytes() == before
         assert out.read_text() == "untouched\n"
+
+    def test_resume_reads_its_log_once(self, tmp_path, capsys, monkeypatch):
+        log = tmp_path / "gen.log"
+        assert main([*self._args(generations=1), "--log", str(log)]) == 0
+        modes, real_open = [], open
+
+        def spy(file, mode="r", *args, **kwargs):
+            if str(file) == str(log):
+                modes.append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", spy)
+        assert main([*self._args(generations=3), "--log", str(log), "--resume"]) == 0
+        assert modes == ["rb", "a"]
+
+    def test_repeated_opponents_are_refused_before_the_log_is_touched(self, tmp_path, capsys):
+        log = tmp_path / "gen.log"
+        assert main([*self.ARGS, "--log", str(log)]) == 0
+        before = log.read_bytes()
+        capsys.readouterr()
+        assert main([*self._args(roster="TitForTat,titfortat,Defector"), "--log", str(log)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: opponent_roster entries must be distinct, "
+                                "got ['TitForTat', 'TitForTat', 'Defector']\n")
+        assert captured.out == ""
+        assert log.read_bytes() == before
 
     def test_resume_without_log_is_data_error(self, capsys):
         assert main([*self.ARGS, "--resume"]) == 2

@@ -118,6 +118,14 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match=message):
             EvolutionParams(**merged)
 
+    @pytest.mark.parametrize("roster", [("TitForTat", "TitForTat"),
+                                        ("TitForTat", "titfortat", "Defector")])
+    def test_rejects_a_repeated_opponent(self, roster):
+        # the registry finds both names, so the opponent would count twice
+        with pytest.raises(ValueError) as err:
+            EvolutionParams(generations=0, opponent_roster=roster)
+        assert str(err.value) == f"opponent_roster entries must be distinct, got {list(roster)}"
+
 
 class TestMutation:
     def test_rate_zero_is_identity(self, e8):
@@ -444,6 +452,17 @@ class TestGenerationLog:
         with pytest.raises(ValueError) as err:
             read_generation_log(path)
         assert str(err.value) == f"{path}: line 2: expected generation 1, got {got}"
+
+    @pytest.mark.parametrize("index", ["+1", "\u0661", "1 ", "0_1", "-1", ""])
+    def test_reader_reads_an_index_of_plain_digits_only(self, tmp_path, index):
+        # int() reads all but the empty one as a number
+        genome = serialize_fsm_line(CLASSIC_FSMS["TitForTat"])
+        path = tmp_path / "gen.log"
+        path.write_text(f"0,1.0,1.0,{genome}\n{index},1.0,1.0,{genome}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_generation_log(path)
+        assert str(err.value) == (
+            f"{path}: line 2: expected a generation index of digits 0-9, got {index!r}")
 
     def test_reader_rejects_empty_log(self, tmp_path):
         path = tmp_path / "gen.log"

@@ -275,6 +275,18 @@ class TestParse:
         with pytest.raises(FsmParseError, match="positive"):
             parse_fsm("fsm x\nstart 0 C\n0 C -> 0 C\n0 D -> 0 C\n")
 
+    @pytest.mark.parametrize("line, text", [
+        (2, "fsm x\nstart {} C\n1 C -> 1 C\n1 D -> 1 D\n"),
+        (3, "fsm x\nstart 1 C\n{} C -> 1 C\n1 D -> 1 D\n"),
+        (4, "fsm x\nstart 1 C\n1 C -> 1 C\n1 D -> {} D\n"),
+    ], ids=["start", "state", "target"])
+    @pytest.mark.parametrize("token", ["+1", "\u0661", "1_0", "-1", "\u00b2", "1.0"])
+    def test_a_state_id_is_plain_digits(self, line, text, token):
+        # int() reads '+1', Arabic-Indic one and '1_0' as numbers
+        with pytest.raises(FsmParseError) as err:
+            parse_fsm(text.format(token))
+        assert str(err.value) == f"line {line}: expected a state id, got {token!r}"
+
     @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                                       "\u2028", "\u2029"])
     def test_only_newlines_and_returns_end_a_line(self, char):

@@ -22,7 +22,7 @@ from ipdlab import (
     run_tournament,
 )
 from ipdlab.evolution import render_generation_line
-from ipdlab.fsm import read_lines
+from ipdlab.fsm import read_text
 from ipdlab.tournament import _dump_columns, _read_dump_lines, render_history_dump
 
 RESULT = run_tournament(TournamentConfig(
@@ -126,7 +126,7 @@ def _assert_read_as_the_line_walk_reads(tmp_path, data):
     path = tmp_path / "edited"
     path.write_bytes(data)
     assert _outcome(read_history_dump, path) == _outcome(
-        lambda path: _read_dump_lines(path, read_lines(path)), path)
+        lambda path: _read_dump_lines(path, read_text(path).split("\n")), path)
 
 
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
