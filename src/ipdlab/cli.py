@@ -287,10 +287,10 @@ def _cmd_evolve(args) -> int:
     log_stream = None
     if args.resume and os.path.exists(args.log):
         log_stream = resume_log(args.log)
-        if len(log_stream.logged) > params.generations:
+        if log_stream.records > params.generations:
             evolve(seeds, params, reg, log_stream)  # checks the generations asked for
             _print_header("evolve", [("resume", args.log)])
-            print(f"# log already reaches generation {len(log_stream.logged) - 1}; nothing to do")
+            print(f"# log already reaches generation {log_stream.records - 1}; nothing to do")
             return 0
     elif args.log:
         log_stream = LogStream(args.log)

@@ -90,15 +90,14 @@ class GenerationRecord:
 # ── genome operators ─────────────────────────────────────────────────
 
 
-# A genome as the search loop holds it from seeding to the log: its kernel
-# Program, whose state i has id ids[i] (ids ascend), its name and its key.
-_Genome = namedtuple("_Genome", "name ids program key")
+# A genome as the search loop holds it from seeding to the log: its state i
+# has id ids[i] (ids ascend), and _keys reads its codes and opening.
+_Genome = namedtuple("_Genome", "name ids codes opening key")
 
 
-def _genome(name, ids, program) -> _Genome:
-    """The loop's form, with genome_key rendered from program."""
-    codes = (2 * program.next_state + program.emit).ravel().tolist()
-    return _Genome(name, ids, program, _keys([ids], [codes], [2 * program.start + program.first])[0])
+def _genome(name, ids, codes, opening) -> _Genome:
+    """The loop's form, with genome_key rendered from codes."""
+    return _Genome(name, ids, codes, opening, _keys([ids], [codes], [opening])[0])
 
 
 def _keys(ids_of, codes, openings) -> list:
@@ -120,15 +119,17 @@ def _keys(ids_of, codes, openings) -> list:
 
 
 def _from_spec(spec: FsmSpec) -> _Genome:
-    return _genome(spec.name, tuple(sorted(set(spec.states))), kernels.fsm_program(spec))
+    program = kernels.fsm_program(spec)
+    return _genome(spec.name, tuple(sorted(set(spec.states))),
+                   (2 * program.next_state + program.emit).ravel().tolist(),
+                   2 * program.start + program.first)
 
 
 def _to_spec(genome: _Genome) -> FsmSpec:
-    ids, program = genome.ids, genome.program
-    cells = zip(program.next_state.ravel().tolist(), program.emit.ravel().tolist())
-    transitions = {(ids[cell >> 1], _BOTH_ACTIONS[cell & 1]): (ids[target], _BOTH_ACTIONS[own])
-                   for cell, (target, own) in enumerate(cells)}
-    return FsmSpec(genome.name, ids, ids[program.start], _BOTH_ACTIONS[program.first], transitions)
+    ids, opening = genome.ids, genome.opening
+    transitions = {(ids[cell >> 1], _BOTH_ACTIONS[cell & 1]): (ids[code >> 1], _BOTH_ACTIONS[code & 1])
+                   for cell, code in enumerate(genome.codes)}
+    return FsmSpec(genome.name, ids, ids[opening >> 1], _BOTH_ACTIONS[opening & 1], transitions)
 
 
 def _mutate_all(parents, rate: float, rngs, names) -> list:
@@ -141,35 +142,30 @@ def _mutate_all(parents, rate: float, rngs, names) -> list:
     """
     if not parents:
         return []
-    n, rows = len(parents[0].ids), np.arange(len(parents))
+    n = len(parents[0].ids)
     draws = kernels._draws(np.array([rng.state for rng in rngs], dtype=np.uint64), 1, 6 * n + 1).T
-    fires = (draws >> kernels._S11) < kernels._limit(rate)  # each double < rate
-    targets = (draws % np.uint64(n)).astype(np.int64)
-    next_state = np.array([parent.program.next_state.ravel() for parent in parents])
-    emit = np.array([parent.program.emit.ravel() for parent in parents])
-    p = np.zeros(len(parents), dtype=np.int64)  # each child's next draw
-    for cell in range(2 * n):
-        # the flip at p, the retarget at p + 1, its target at p + 2 if it fires
-        emit[:, cell] ^= fires[rows, p]
-        retarget = fires[rows, p + 1]
-        next_state[:, cell] = np.where(retarget, targets[rows, p + 2], next_state[:, cell])
-        p += 2 + retarget
-    firsts = [parent.program.first ^ fire for parent, fire in zip(parents, fires[rows, p].tolist())]
-    for rng, used in zip(rngs, (p + 1).tolist()):
-        rng.state = (rng.state + used * GOLDEN) & MASK64
-    keys = _keys([parent.ids for parent in parents], (2 * next_state + emit).tolist(),
-                 [2 * parent.program.start + first for parent, first in zip(parents, firsts)])
-    return [_Genome(name, parent.ids,
-                    kernels.Program(kernels.KIND_FSM, next_state[i], emit[i], parent.program.start,
-                                    firsts[i], 0.0), keys[i])
-            for i, (parent, name) in enumerate(zip(parents, names))]
+    fires = ((draws >> kernels._S11) < kernels._limit(rate)).tolist()  # each double < rate
+    targets = (draws % np.uint64(n)).tolist()
+    codes, openings = [], []
+    for parent, rng, fired, target in zip(parents, rngs, fires, targets):
+        child, p = [], 0  # p is the child's next draw
+        for code in parent.codes:
+            # the flip at p, the retarget at p + 1, its target at p + 2 if it fires
+            if fired[p + 1]:
+                code = 2 * target[p + 2] + (code & 1)
+            child.append(code ^ fired[p])
+            p += 2 + fired[p + 1]
+        codes.append(child)
+        openings.append(parent.opening ^ fired[p])
+        rng.state = (rng.state + (p + 1) * GOLDEN) & MASK64
+    ids = [parent.ids for parent in parents]
+    return list(map(_Genome, names, ids, codes, openings, _keys(ids, codes, openings)))
 
 
 def _random(num_states: int, rng: SplitMix64, name: str) -> _Genome:
-    moves = [(rng.randrange(num_states), rng.randrange(2)) for _ in range(2 * num_states)]
-    start = rng.randrange(num_states)
-    program = kernels.Program(kernels.KIND_FSM, *zip(*moves), start, rng.randrange(2), 0.0)
-    return _genome(name, tuple(range(1, num_states + 1)), program)
+    codes = [2 * rng.randrange(num_states) + rng.randrange(2) for _ in range(2 * num_states)]
+    opening = 2 * rng.randrange(num_states) + rng.randrange(2)
+    return _genome(name, tuple(range(1, num_states + 1)), codes, opening)
 
 
 def mutate_fsm(spec: FsmSpec, rate: float, rng: SplitMix64) -> FsmSpec:
@@ -228,7 +224,10 @@ def _batch_fitness(genomes, params: EvolutionParams, registry) -> list:
     position or neighbours; a genome's seeds are derived only if one of
     its matches draws random numbers."""
     opponents = [registry.get(name).program for name in params.opponent_roster]
-    pairs = [(genome.program, opp) for genome in genomes for opp in opponents]
+    # one Program per genome, so the kernel packs each genome once
+    programs = [kernels.Program(kernels.KIND_FSM, *np.divmod(genome.codes, 2),
+                                *divmod(genome.opening, 2), 0.0) for genome in genomes]
+    pairs = [(program, opp) for program in programs for opp in opponents]
     roots = {}
 
     def seed_of(pair, rep):
@@ -387,9 +386,10 @@ class LogStream:
     or, for a new run, creates or empties it, and new lines are appended.
     """
 
-    def __init__(self, path, logged=(), size=0):
+    def __init__(self, path, logged=(), size=0, records=0):
         self.path = path
         self.logged = logged
+        self.records = records  # how many generation records logged holds
         self._size = size
         self._checked = 0
         self._stream = None
@@ -420,9 +420,8 @@ def resume_log(path) -> LogStream:
     """The stream that reruns the run logged at path, read once; a log
     without a complete line is a new run's."""
     lines, size = _complete_lines(path)
-    if size:
-        _records(path, lines)  # refuses a log that does not parse
-    return LogStream(path, lines, size)
+    records = _records(path, lines) if size else ()  # refuses a log that does not parse
+    return LogStream(path, lines, size, len(records))
 
 
 def generation_deltas(log, threshold: float) -> list:

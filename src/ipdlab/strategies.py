@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 from . import kernels
-from .fsm import FsmSpec, FsmValidationError, parse_fsm, validate_fsm
+from .fsm import FsmSpec, FsmValidationError, parse_fsm, read_text, validate_fsm
 
 _GOLDEN_SHA256 = {
     "FirstPrac": "23e24bc26f60cbaee1cd446f613b4ac56dcf493526a28beee5597bf46cf2acf3",
@@ -116,8 +116,9 @@ class RegisteredStrategy:
 
 
 def _load_golden(name: str) -> FsmSpec:
-    text = (resources.files("ipdlab") / "data" / f"{name}.fsm").read_text(encoding="utf-8")
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    path = resources.files("ipdlab") / "data" / f"{name}.fsm"
+    data = path.read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
     expected = _GOLDEN_SHA256[name]
     if digest != expected:
         raise RuntimeError(
@@ -125,7 +126,7 @@ def _load_golden(name: str) -> FsmSpec:
             f"(expected {expected}, found {digest}); refusing to load a "
             "modified golden file"
         )
-    spec = parse_fsm(text)
+    spec = parse_fsm(read_text(path, data))
     if spec.name != name:
         raise RuntimeError(f"golden file for {name} declares name {spec.name!r}")
     return spec

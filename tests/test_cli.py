@@ -603,6 +603,19 @@ class TestEvolveCommand:
         assert log.read_bytes() == before
         assert out.read_text() == "untouched\n"
 
+    def test_finished_resume_counts_records_not_blank_lines(self, tmp_path, capsys):
+        # generations 0..3 and two blank lines, which the reader skips
+        log = tmp_path / "gen.log"
+        assert main([*self._args(generations=3), "--log", str(log)]) == 0
+        log.write_bytes(log.read_bytes() + b"\n\n")
+        before = log.read_bytes()
+        capsys.readouterr()
+        assert main([*self._args(generations=2), "--log", str(log), "--resume"]) == 0
+        assert "# log already reaches generation 3; nothing to do" in capsys.readouterr().out
+        assert log.read_bytes() == before
+        # running on past the log still meets the blank line as an edit
+        self._assert_resume_refused(capsys, log, self._args(generations=5), 4)
+
     def test_resume_reads_its_log_once(self, tmp_path, capsys, monkeypatch):
         log = tmp_path / "gen.log"
         assert main([*self._args(generations=1), "--log", str(log)]) == 0

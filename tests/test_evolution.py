@@ -64,6 +64,18 @@ def _reference_mutate_fsm(spec, rate, rng):
     return replace(spec, transitions=transitions, initial_action=initial)
 
 
+def _reference_random_genome(num_states, rng, name):
+    """random_genome drawn on the FsmSpec dict: the oracle for its draw order."""
+    states = tuple(range(1, num_states + 1))
+    transitions = {}
+    for s in states:
+        for opp in _BOTH_ACTIONS:
+            target = states[rng.randrange(num_states)]
+            transitions[(s, opp)] = (target, _BOTH_ACTIONS[rng.randrange(2)])
+    start = states[rng.randrange(num_states)]
+    return FsmSpec(name, states, start, _BOTH_ACTIONS[rng.randrange(2)], transitions)
+
+
 @st.composite
 def sparse_fsm_specs(draw, max_states=6):
     """Valid machines whose state ids are any distinct positive integers."""
@@ -213,6 +225,14 @@ class TestRandomGenome:
 
     def test_deterministic_per_stream(self):
         assert random_genome(8, SplitMix64(3), "x") == random_genome(8, SplitMix64(3), "x")
+
+    @given(num_states=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_fsm_spec_reference(self, num_states, seed):
+        rng, reference_rng = SplitMix64(seed), SplitMix64(seed)
+        assert random_genome(num_states, rng, "r") == _reference_random_genome(
+            num_states, reference_rng, "r")
+        assert rng.state == reference_rng.state  # the same number of draws
 
 
 class TestPadding:

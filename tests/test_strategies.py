@@ -1,5 +1,7 @@
 """The built-in roster: classic behaviors, FSM encodings, the registry."""
 
+from importlib import resources
+
 import pytest
 from hypothesis import given, settings
 
@@ -14,6 +16,7 @@ from ipdlab import (
     parse_fsm,
     roster_default,
 )
+from ipdlab import strategies
 from ipdlab.kernels import fsm_program, play_one, random_program
 from ipdlab.strategies import (
     CLASSIC_FSMS,
@@ -217,3 +220,18 @@ class TestGoldenChecksums:
         monkeypatch.setitem(_GOLDEN_SHA256, "EvolvedFSM6", "0" * 64)
         with pytest.raises(RuntimeError, match="failed its checksum"):
             _load_golden("EvolvedFSM6")
+
+    @pytest.mark.parametrize("line_end, loads", [(b"\n", True), (b"\r\n", False)],
+                             ids=["lf", "crlf"])
+    def test_the_pin_covers_the_bytes_not_the_decoded_text(self, tmp_path, monkeypatch,
+                                                           line_end, loads):
+        # a copy with other line ends parses to the same machine, but it is not the pinned file
+        data = (resources.files("ipdlab") / "data" / "EvolvedFSM6.fsm").read_bytes()
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "EvolvedFSM6.fsm").write_bytes(data.replace(b"\n", line_end))
+        monkeypatch.setattr(strategies.resources, "files", lambda package: tmp_path)
+        if loads:
+            assert _load_golden("EvolvedFSM6") == builtin_fsm("EvolvedFSM6")
+        else:
+            with pytest.raises(RuntimeError, match="failed its checksum"):
+                _load_golden("EvolvedFSM6")

@@ -4,6 +4,8 @@ function name, so a renamed function would leave its layer reading 0."""
 import runpy
 from pathlib import Path
 
+import pytest
+
 import ipdlab
 from ipdlab.cli import main
 
@@ -21,20 +23,24 @@ def test_every_tracer_boundary_but_the_stale_one_names_an_ipdlab_function():
     assert unresolved == STALE
 
 
-def test_a_traced_default_tournament_counts_what_the_tracer_reads(tmp_path, capsys):
+@pytest.mark.parametrize("argv, counts", [
+    (["tournament", "--seed", "0", "--histories", "dump.txt"], (231, 140, 0, 1)),
+    (["evolve", "--generations", "3", "--seed", "0", "--log", "log.csv"], (3120, 1563, 0, 4)),
+], ids=["tournament", "evolve"])
+def test_a_traced_default_run_counts_what_the_tracer_reads(tmp_path, monkeypatch, capsys,
+                                                           argv, counts):
     # The counts come from Program attributes, kernels.KIND_FSM and
     # play_batch's parameter names; a rename would zero them silently.
+    monkeypatch.chdir(tmp_path)
     tracer = runpy.run_path(str(TRACER))["Tracer"](ipdlab)
     tracer.install()
     try:
-        code = main(["tournament", "--seed", "0", "--histories", str(tmp_path / "dump.txt")])
+        code = main(argv)
     finally:
         tracer.uninstall()
     assert code == 0
     metrics = tracer.layer_metrics(ipdlab.kernels, 0)
     assert tracer.missing == ["ipdlab.kernels._batch_numba"]
-    counts = ("kernels.matches", "rng.derive_seed_calls", "kernels.redundant_matches",
-              "kernels.play_batch_calls")
-    assert {name: metrics[name] for name in counts} == {
-        "kernels.matches": 231, "rng.derive_seed_calls": 140,
-        "kernels.redundant_matches": 0, "kernels.play_batch_calls": 1}
+    names = ("kernels.matches", "rng.derive_seed_calls", "kernels.redundant_matches",
+             "kernels.play_batch_calls")
+    assert {name: metrics[name] for name in names} == dict(zip(names, counts))
