@@ -22,6 +22,7 @@ import hashlib
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from . import kernels
 from .fsm import (_BOTH_ACTIONS, Action, FsmSpec, parse_fsm_line, read_text, serialize_fsm_line,
                   validate_fsm)
 from .game import score_actions
-from .rng import GOLDEN, MASK64, SplitMix64, derive_seed
+from .rng import GOLDEN, MASK64, SplitMix64, derive_seed, derive_seeds
 from .strategies import default_registry, roster_default
 
 
@@ -90,37 +91,34 @@ class GenerationRecord:
 # ── genome operators ─────────────────────────────────────────────────
 
 
-# A genome as the search loop holds it from seeding to the log: its state i
-# has id ids[i] (ids ascend), and _keys reads its codes and opening.
-_Genome = namedtuple("_Genome", "name ids codes opening key")
+class _Genome(namedtuple("_Genome", "name ids codes opening")):
+    """The search loop's genome: by state index, codes[2 * i + opponent's move] = 2 * target
+    + own move and opening = 2 * start + first move; ids ascend.  key renders when first read."""
+
+    @cached_property
+    def key(self) -> str:
+        return _key(self)
 
 
-def _genome(name, ids, codes, opening) -> _Genome:
-    """The loop's form, with genome_key rendered from codes."""
-    return _Genome(name, ids, codes, opening, _keys([ids], [codes], [opening])[0])
+@lru_cache(maxsize=64)
+def _key_table(ids) -> tuple:
+    """Key text on state ids `ids`, blank at the opening and moves, and each code's line end."""
+    ends = tuple(f"{ids[code >> 1]} {'CD'[code & 1]}\n" for code in range(2 * len(ids)))
+    text = ["fsm _\nstart ", None] + [None] * (2 * len(ends))
+    text[2::2] = [end[:-1] + " -> " for end in ends]
+    return tuple(text), ends
 
 
-def _keys(ids_of, codes, openings) -> list:
-    """genome_key of machine i, whose state ids are ids_of[i], with codes[i][2
-    * state + opponent's move] = 2 * target + own move and openings[i] = 2 *
-    start + first move.  Lines come from tables made once per distinct ids."""
-    tables, keys = {}, []
-    for ids, row, opening in zip(ids_of, codes, openings):
-        if ids not in tables:
-            ends = [f"{ids[code >> 1]} {'CD'[code & 1]}\n" for code in range(2 * len(ids))]
-            text = ["fsm _\nstart ", None] + [None] * (2 * len(ends))
-            text[2::2] = [end[:-1] + " -> " for end in ends]
-            tables[ids] = ends, text
-        ends, text = tables[ids]
-        text[1] = ends[opening]
-        text[3::2] = map(ends.__getitem__, row)
-        keys.append(hashlib.sha256("".join(text).encode("utf-8")).hexdigest())
-    return keys
+def _key(genome) -> str:
+    text, ends = _key_table(genome.ids)
+    text = list(text)
+    text[1::2] = map(ends.__getitem__, (genome.opening, *genome.codes))
+    return hashlib.sha256("".join(text).encode("utf-8")).hexdigest()
 
 
 def _from_spec(spec: FsmSpec) -> _Genome:
     program = kernels.fsm_program(spec)
-    return _genome(spec.name, tuple(sorted(set(spec.states))),
+    return _Genome(spec.name, tuple(sorted(set(spec.states))),
                    (2 * program.next_state + program.emit).ravel().tolist(),
                    2 * program.start + program.first)
 
@@ -158,14 +156,13 @@ def _mutate_all(parents, rate: float, rngs, names) -> list:
         codes.append(child)
         openings.append(parent.opening ^ fired[p])
         rng.state = (rng.state + (p + 1) * GOLDEN) & MASK64
-    ids = [parent.ids for parent in parents]
-    return list(map(_Genome, names, ids, codes, openings, _keys(ids, codes, openings)))
+    return list(map(_Genome, names, [parent.ids for parent in parents], codes, openings))
 
 
 def _random(num_states: int, rng: SplitMix64, name: str) -> _Genome:
     codes = [2 * rng.randrange(num_states) + rng.randrange(2) for _ in range(2 * num_states)]
     opening = 2 * rng.randrange(num_states) + rng.randrange(2)
-    return _genome(name, tuple(range(1, num_states + 1)), codes, opening)
+    return _Genome(name, tuple(range(1, num_states + 1)), codes, opening)
 
 
 def mutate_fsm(spec: FsmSpec, rate: float, rng: SplitMix64) -> FsmSpec:
@@ -221,23 +218,23 @@ def _batch_fitness(genomes, params: EvolutionParams, registry) -> list:
     """fitness() of each genome in the loop's form, from one kernel batch.
 
     A value depends only on its genome's content and params, not on its
-    position or neighbours; a genome's seeds are derived only if one of
-    its matches draws random numbers."""
+    position or neighbours.  If a match draws, two calls derive the seeds:
+    each root derive_seed(seed, "fitness", key), then each (root, "opp", idx, rep)."""
     opponents = [registry.get(name).program for name in params.opponent_roster]
     # one Program per genome, so the kernel packs each genome once
     programs = [kernels.Program(kernels.KIND_FSM, *np.divmod(genome.codes, 2),
                                 *divmod(genome.opening, 2), 0.0) for genome in genomes]
     pairs = [(program, opp) for program in programs for opp in opponents]
-    roots = {}
 
-    def seed_of(pair, rep):
-        genome, idx = divmod(pair, len(opponents))
-        if genome not in roots:
-            roots[genome] = derive_seed(params.seed, "fitness", genomes[genome].key)
-        return derive_seed(roots[genome], "opp", idx, rep)
+    def seeds_of(unshared):
+        drawing = unshared[:len(unshared) // len(genomes)]  # genome 0's pairs: every machine's
+        roots = derive_seeds([(params.seed, "fitness")], [(genome.key,) for genome in genomes])
+        return np.frombuffer(derive_seeds(
+            [(root, "opp") for root in np.frombuffer(roots, "<u8").tolist()],
+            [(idx, rep) for idx in drawing for rep in range(params.repetitions)]), "<u8")
 
     acts_a, acts_b, index = kernels.play_pairs(
-        pairs, params.repetitions, params.turns, params.noise, seed_of
+        pairs, params.repetitions, params.turns, params.noise, seeds_of
     )
     # Pairs run genome-major, then opponent-major, so after the gather
     # each genome's block sums to one total per repetition.  The payoffs

@@ -247,13 +247,14 @@ def play_batch(progs_a, progs_b, turns, noise, seeds):
     return out_a, out_b
 
 
-def play_pairs(pairs, repetitions, turns, noise, seed_of):
+def play_pairs(pairs, repetitions, turns, noise, seeds_of):
     """Play `repetitions` matches of every (prog_a, prog_b) pair in one batch.
 
     A match between two machines at noise 0 draws no random numbers, so
     its repetitions all replay one result: such a pair gets one played
-    row, and seed_of is never called for it.  Every other pair gets one
-    row per repetition, seeded by seed_of(pair index, rep).
+    row, and no seed.  Every other pair gets one row per repetition, and
+    one call, seeds_of(their ascending pair indices), returns all their
+    seeds as a uint64 array, pair-major, then rep-minor.
 
     Returns (acts_a, acts_b, index): the played blocks, as play_batch
     gives them, and an int array of shape (len(pairs), repetitions)
@@ -265,9 +266,9 @@ def play_pairs(pairs, repetitions, turns, noise, seed_of):
     first_row = np.cumsum(played) - played
     index = first_row[:, None] + np.where(shared[:, None], 0, np.arange(repetitions))
     seeds = np.zeros(played.sum(), dtype=np.uint64)
-    seeds[index[~shared].ravel()] = np.array(
-        [seed_of(pair, rep) for pair in np.flatnonzero(~shared).tolist() for rep in range(repetitions)],
-        dtype=np.uint64)
+    unshared = np.flatnonzero(~shared)
+    if unshared.size:
+        seeds[index[unshared].ravel()] = seeds_of(unshared.tolist())
     # fromiter, unlike np.array, does not probe each Program for a sequence
     progs_a, progs_b = (np.repeat(np.fromiter(map(itemgetter(side), pairs), object, len(pairs)), played)
                         for side in (0, 1))

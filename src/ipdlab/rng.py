@@ -70,3 +70,19 @@ def derive_seed(*parts) -> int:
     data = "\x1f".join(map(str, parts)).encode("utf-8")
     digest = hashlib.blake2b(data, digest_size=8).digest()
     return int.from_bytes(digest, "little")
+
+
+def derive_seeds(prefixes, tails) -> bytes:
+    """derive_seed(*prefix, *tail) for each prefix, then each tail, as 8-byte
+    little-endian digests end to end, with each prefix hashed once."""
+    if not (all(map(len, prefixes)) and all(map(len, tails))):
+        raise ValueError("an empty prefix or tail adds a separator that derive_seed never writes")
+    encoded = [("\x1f" + "\x1f".join(map(str, tail))).encode("utf-8") for tail in tails]
+    digests = []
+    for prefix in prefixes:
+        head = hashlib.blake2b("\x1f".join(map(str, prefix)).encode("utf-8"), digest_size=8)
+        for tail in encoded:
+            seed = head.copy()
+            seed.update(tail)
+            digests.append(seed.digest())
+    return b"".join(digests)

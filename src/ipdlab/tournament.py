@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels
 from .fsm import read_text
 from .game import MatchRecord, match_records
-from .rng import derive_seed
+from .rng import derive_seeds
 from .strategies import default_registry
 
 CONTEXTS = ("CC", "CD", "DC", "DD")
@@ -87,12 +87,13 @@ def run_tournament(config: TournamentConfig, registry=None) -> TournamentResult:
     pairing = combinations_with_replacement if config.include_self_matches else combinations
     pairs = sorted(tuple(sorted(pair)) for pair in pairing(names, 2))
 
-    def seed_of(pair, rep):
-        return derive_seed(config.master_seed, "match", *pairs[pair], rep)
+    def seeds_of(unshared):
+        tails = [(*pairs[pair], rep) for pair in unshared for rep in range(config.repetitions)]
+        return np.frombuffer(derive_seeds([(config.master_seed, "match")], tails), "<u8")
 
     raw_a, raw_b, index = kernels.play_pairs(
         [(by_name[a].program, by_name[b].program) for a, b in pairs],
-        config.repetitions, config.turns, config.noise, seed_of,
+        config.repetitions, config.turns, config.noise, seeds_of,
     )
     records = match_records(raw_a, raw_b)
     histories = {

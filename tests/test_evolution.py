@@ -25,7 +25,7 @@ from ipdlab import (
     roster_default,
     validate_fsm,
 )
-from ipdlab import kernels
+from ipdlab import evolution, kernels
 from ipdlab.evolution import (
     _batch_fitness,
     _from_spec,
@@ -163,6 +163,18 @@ class TestMutation:
     def test_invalid_rate_rejected(self, e6):
         with pytest.raises(ValueError, match="rate"):
             mutate_fsm(e6, -0.2, SplitMix64(0))
+
+    def test_renders_no_genome_key(self, secondprac, monkeypatch):
+        # a key is rendered only where the search loop reads it
+        def refuse(genome):
+            raise AssertionError("mutate_fsm rendered a genome key")
+
+        monkeypatch.setattr(evolution, "_key", refuse)
+        rng, reference_rng = SplitMix64(7), SplitMix64(7)
+        assert mutate_fsm(secondprac, 0.1, rng) == _reference_mutate_fsm(secondprac, 0.1,
+                                                                         reference_rng)
+        with pytest.raises(AssertionError, match="rendered"):
+            genome_key(secondprac)
 
     def test_flip_fraction_tracks_the_rate(self, secondprac):
         rng = SplitMix64(2024)

@@ -143,6 +143,16 @@ def _seed_of(pair, rep):
     return derive_seed(3, "pair", pair, rep)
 
 
+def _seeds_of(repetitions, calls=None):
+    """play_pairs' seed callback for _seed_of; each call's pairs go to calls."""
+    def seeds_of(unshared):
+        if calls is not None:
+            calls.append(unshared)
+        return np.array([_seed_of(pair, rep) for pair in unshared for rep in range(repetitions)],
+                        dtype=np.uint64)
+    return seeds_of
+
+
 class TestPlayPairs:
     """The planner plays each distinct match once and maps every repetition to it."""
 
@@ -154,7 +164,10 @@ class TestPlayPairs:
     )
     @settings(max_examples=60, deadline=None)
     def test_rows_equal_the_fully_expanded_batch(self, pairs, repetitions, turns, noise):
-        acts_a, acts_b, index = play_pairs(pairs, repetitions, turns, noise, _seed_of)
+        calls = []
+        acts_a, acts_b, index = play_pairs(pairs, repetitions, turns, noise,
+                                           _seeds_of(repetitions, calls))
+        assert len(calls) <= 1
         jobs = [(pair, rep) for pair in range(len(pairs)) for rep in range(repetitions)]
         full_a, full_b = play_batch(
             [pairs[pair][0] for pair, _ in jobs], [pairs[pair][1] for pair, _ in jobs],
@@ -165,10 +178,10 @@ class TestPlayPairs:
         assert np.array_equal(acts_b[index.ravel()], full_b)
 
     def test_no_pairs_give_empty_blocks_and_draw_no_seed(self):
-        def seed_of(pair, rep):
+        def seeds_of(unshared):
             raise AssertionError("no pair, no seed")
 
-        acts_a, acts_b, index = play_pairs([], 3, 7, 0.05, seed_of)
+        acts_a, acts_b, index = play_pairs([], 3, 7, 0.05, seeds_of)
         assert acts_a.shape == acts_b.shape == (0, 7)
         assert acts_a.dtype == acts_b.dtype == np.int8
         assert index.shape == (0, 3)
@@ -183,7 +196,7 @@ class TestPlayPairs:
         machines = [fsm_program(e6), fsm_program(e8)]
         pairs = [(machines[i % 2], random_program(0.5) if i in coins else machines[i // 2 % 2])
                  for i in range(5)]
-        acts_a, acts_b, index = play_pairs(pairs, 1, 12, noise, _seed_of)
+        acts_a, acts_b, index = play_pairs(pairs, 1, 12, noise, _seeds_of(1))
         full_a, full_b = play_batch([a for a, _ in pairs], [b for _, b in pairs], 12, noise,
                                     [_seed_of(pair, 0) for pair in range(len(pairs))])
         assert index.tolist() == [[row] for row in range(len(pairs))]
@@ -196,14 +209,9 @@ class TestPlayPairs:
         pairs = [(machine, machine), (machine, coin), (coin, machine), (coin, coin)]
         for noise, seeded_pairs in ((0.0, [1, 2, 3]), (0.05, [0, 1, 2, 3])):
             calls = []
-
-            def seed_of(pair, rep):
-                calls.append((pair, rep))
-                return _seed_of(pair, rep)
-
-            acts_a, _, index = play_pairs(pairs, 5, 10, noise, seed_of)
-            assert calls == [(pair, rep) for pair in seeded_pairs for rep in range(5)]
-            assert acts_a.shape == (len(calls) + (noise == 0), 10)
+            acts_a, _, index = play_pairs(pairs, 5, 10, noise, _seeds_of(5, calls))
+            assert calls == [seeded_pairs]  # one call, pairs in ascending order
+            assert acts_a.shape == (5 * len(seeded_pairs) + (noise == 0), 10)
             assert len(set(index.ravel().tolist())) == acts_a.shape[0]
 
 

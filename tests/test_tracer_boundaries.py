@@ -8,6 +8,7 @@ import pytest
 
 import ipdlab
 from ipdlab.cli import main
+from ipdlab.rng import derive_seeds
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -23,9 +24,15 @@ def test_every_tracer_boundary_but_the_stale_one_names_an_ipdlab_function():
     assert unresolved == STALE
 
 
+TOURNAMENT = ["tournament", "--seed", "0", "--histories", "dump.txt"]
+EVOLVE = ["evolve", "--generations", "3", "--seed", "0", "--log", "log.csv"]
+
+
+# Match seeds come from rng.derive_seeds, which the tracer does not wrap, so
+# rng.derive_seed_calls counts only the single seeds (init, select, mutate).
 @pytest.mark.parametrize("argv, counts", [
-    (["tournament", "--seed", "0", "--histories", "dump.txt"], (231, 140, 0, 1)),
-    (["evolve", "--generations", "3", "--seed", "0", "--log", "log.csv"], (3120, 1563, 0, 4)),
+    (TOURNAMENT, (231, 0, 0, 1)),
+    (EVOLVE, (3120, 133, 0, 4)),
 ], ids=["tournament", "evolve"])
 def test_a_traced_default_run_counts_what_the_tracer_reads(tmp_path, monkeypatch, capsys,
                                                            argv, counts):
@@ -44,3 +51,24 @@ def test_a_traced_default_run_counts_what_the_tracer_reads(tmp_path, monkeypatch
     names = ("kernels.matches", "rng.derive_seed_calls", "kernels.redundant_matches",
              "kernels.play_batch_calls")
     assert {name: metrics[name] for name in names} == dict(zip(names, counts))
+
+
+# The seed count the tracer read before match seeds moved to derive_seeds.
+@pytest.mark.parametrize("argv, calls, seeds", [
+    (TOURNAMENT, 1, 140),  # the 14 pairs with Random, 10 repetitions each
+    (EVOLVE, 8, 1430),  # 4 batches: 130 roots, and 10 seeds per genome against Random
+], ids=["tournament", "evolve"])
+def test_a_default_run_derives_its_match_seeds_in_one_call_per_batch(tmp_path, monkeypatch,
+                                                                     capsys, argv, calls, seeds):
+    monkeypatch.chdir(tmp_path)
+    derived = []
+
+    def counted(prefixes, tails):
+        digests = derive_seeds(prefixes, tails)
+        derived.append(len(digests) // 8)
+        return digests
+
+    for module in (ipdlab.tournament, ipdlab.evolution):
+        monkeypatch.setattr(module, "derive_seeds", counted)
+    assert main(argv) == 0
+    assert (len(derived), sum(derived)) == (calls, seeds)
