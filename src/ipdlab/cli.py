@@ -13,51 +13,25 @@ Subcommands:
 Exit codes: 0 success, 1 usage error, 2 data or validation error.
 Every run prints its resolved configuration as `# key = value` lines so
 an artifact can always be traced back to the flags that made it.
-Result files are written to a temp name and renamed on success; the
-only exception is the evolve --log stream, which is flushed line by
-line so crashed runs can resume from it.  A resume reads the log once,
-reruns the search from generation 0, refuses a logged generation that
-the rerun does not reproduce, and appends the rest.  Two output flags
-of one command may not name the same file.  Every input file is read
-whole, and a byte that is not UTF-8 is refused, with its line, first.
+Output paths are checked before any work: two output flags of one
+command may not name the same file, and none may name a directory or
+lie in no existing directory.  Result files are written to temp names,
+then renamed once all are written.  A set of renames is not atomic: a
+failed rename can leave the outputs renamed before it replaced, but it
+never leaves a temp file.  The only exception is the evolve --log
+stream, which is flushed line by line so crashed runs can resume from
+it.  A resume reads the log once, reruns the search from generation 0,
+refuses a logged generation that the rerun does not reproduce, and
+appends the rest.  Every input file is read whole, and a byte that is
+not UTF-8 is refused, with its line, first.  Each command imports only
+the modules it uses, so prune and equiv run without numpy.
 """
 
 import argparse
+import contextlib
 import math
 import os
 import sys
-from dataclasses import replace
-
-from .evolution import (
-    EvolutionParams,
-    LogStream,
-    evolve,
-    generation_deltas,
-    render_generation_line,
-    resume_log,
-)
-from .fsm import (
-    FsmValidationError,
-    behaviorally_equivalent,
-    load_fsm_file,
-    prune_unreachable,
-    reachable_states,
-    serialize_fsm,
-    serialize_fsm_line,
-    validate_fsm,
-)
-from .game import MatchConfig, trace_match
-from .kernels import active_backend
-from .strategies import UnknownStrategyError, default_registry, fsm_entry, roster_default
-from .tournament import (
-    CONTEXTS,
-    TournamentConfig,
-    cooperation_rates,
-    read_history_dump,
-    render_history_dump,
-    render_ranking_csv,
-    run_tournament,
-)
 
 
 class _UsageError(Exception):
@@ -154,37 +128,52 @@ def _print_header(command: str, settings):
 
 
 def _atomic_write_all(staged):
-    """Write every (path, text) pair via temp-and-rename, all or nothing."""
-    temps = []
+    """Write every (path, text) pair to a temp file, then rename each over its path.
+
+    No path is replaced until every text is written.  A set of renames is
+    not atomic, so a rename that fails leaves the outputs renamed before
+    it replaced; on any failure, every temp file not yet renamed is removed.
+    """
+    temps = []  # (temp, path) pairs created and not yet renamed
     try:
         for path, text in staged:
             tmp = f"{path}.tmp{os.getpid()}"
             with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                temps.append((tmp, path))
                 fh.write(text)
-            temps.append((tmp, path))
+        while temps:
+            os.replace(*temps[0])
+            del temps[0]
     except BaseException:
         for tmp, _ in temps:
-            if os.path.exists(tmp):
+            with contextlib.suppress(OSError):
                 os.unlink(tmp)
         raise
-    for tmp, path in temps:
-        os.replace(tmp, path)
 
 
-def _refuse_shared_outputs(*outputs):
-    """Refuse (flag, path) outputs of one command that name the same file."""
+def _refuse_bad_outputs(*outputs):
+    """Refuse, before any work, (flag, path) outputs of one command that
+    name the same file, name a directory, or lie in no existing directory."""
     seen = {}
     for flag, path in outputs:
         if path:
+            parent = os.path.dirname(path) or "."
+            if os.path.isdir(path):
+                raise ValueError(f"{flag} {path} is a directory")
+            if not os.path.isdir(parent):
+                raise ValueError(f"{flag} {path}: {parent} is not a directory")
             real = os.path.realpath(path)
             if real in seen:
                 raise ValueError(f"{seen[real]} and {flag} both name {path}")
             seen[real] = flag
 
 
-def _resolve_roster(roster_arg: str, registry):
+def _resolve_roster(roster_arg: str):
     """Expand a --roster value into (registry, canonical name list)."""
-    reg = registry
+    from .fsm import load_fsm_file
+    from .strategies import default_registry, roster_default
+
+    reg = default_registry()
     names = []
     for token in roster_arg.split(","):
         token = token.strip()
@@ -203,11 +192,14 @@ def _resolve_roster(roster_arg: str, registry):
     return reg, names
 
 
-def _resolve_player(token: str, registry):
+def _resolve_player(token: str):
     """The roster entry a trace player names: a registry name, or @file."""
+    from .fsm import load_fsm_file
+    from .strategies import default_registry, fsm_entry
+
     if token.startswith("@"):
         return fsm_entry(load_fsm_file(token[1:]))
-    return registry.get(token)
+    return default_registry().get(token)
 
 
 def _fmt(value: float) -> str:
@@ -218,9 +210,13 @@ def _fmt(value: float) -> str:
 
 
 def _cmd_tournament(args) -> int:
-    _refuse_shared_outputs(("--out", args.out), ("--histories", args.histories),
-                           ("--coop-report", args.coop_report))
-    reg, names = _resolve_roster(args.roster, default_registry())
+    from .kernels import active_backend
+    from .tournament import (CONTEXTS, TournamentConfig, cooperation_rates, render_history_dump,
+                             render_ranking_csv, run_tournament)
+
+    _refuse_bad_outputs(("--out", args.out), ("--histories", args.histories),
+                        ("--coop-report", args.coop_report))
+    reg, names = _resolve_roster(args.roster)
     config = TournamentConfig(
         roster=tuple(names),
         turns=args.turns,
@@ -264,10 +260,15 @@ def _cmd_tournament(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    _refuse_shared_outputs(("--log", args.log), ("--out", args.out))
+    from .evolution import (EvolutionParams, LogStream, evolve, generation_deltas,
+                            render_generation_line, resume_log)
+    from .fsm import load_fsm_file, serialize_fsm, serialize_fsm_line
+    from .kernels import active_backend
+
+    _refuse_bad_outputs(("--log", args.log), ("--out", args.out))
     if args.jump_threshold is not None and math.isnan(args.jump_threshold):
         raise ValueError(f"--jump-threshold must be a number, got {args.jump_threshold}")
-    reg, roster_names = _resolve_roster(args.roster, default_registry())
+    reg, roster_names = _resolve_roster(args.roster)
     params = EvolutionParams(
         generations=args.generations,
         num_states=args.num_states,
@@ -333,6 +334,12 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_prune(args) -> int:
+    from dataclasses import replace
+
+    from .fsm import (FsmValidationError, load_fsm_file, prune_unreachable, reachable_states,
+                      serialize_fsm, validate_fsm)
+
+    _refuse_bad_outputs(("--out", args.out_path))
     spec = load_fsm_file(args.in_path)
     report = reachable_states(spec)
     pruned = prune_unreachable(spec)
@@ -353,6 +360,8 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from .fsm import behaviorally_equivalent, load_fsm_file
+
     spec_a = load_fsm_file(args.a_path)
     spec_b = load_fsm_file(args.b_path)
     _print_header("equiv", [
@@ -366,9 +375,10 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    reg = default_registry()
-    player_a = _resolve_player(args.a_name, reg)
-    player_b = _resolve_player(args.b_name, reg)
+    from .game import MatchConfig, trace_match
+
+    player_a = _resolve_player(args.a_name)
+    player_b = _resolve_player(args.b_name)
     config = MatchConfig(turns=args.turns, noise=0.0, seed=args.seed)
     _print_header("trace", [
         ("a", player_a.id.name),
@@ -389,6 +399,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_rates(args) -> int:
+    from .tournament import CONTEXTS, cooperation_rates, read_history_dump
+
     histories = read_history_dump(args.in_path)
     report = cooperation_rates(histories, args.player)
     _print_header("rates", [
@@ -433,7 +445,7 @@ def cli_main(argv) -> int:
 
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, UnknownStrategyError) as exc:
+    except (ValueError, OSError) as exc:  # UnknownStrategyError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,32 @@
 """Shared fixtures and generators for the test suite."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import strategies as st
 
+import ipdlab
 from ipdlab import Action, FsmSpec, builtin_fsm, default_registry
 from ipdlab.rng import GOLDEN, MASK64, SplitMix64, mix64
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """run(code, *argv, cwd=None): stdout of `python -c code *argv` in a fresh
+    interpreter that imports the same ipdlab as this process."""
+    root = os.path.dirname(os.path.dirname(ipdlab.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def run(code, *argv, cwd=None):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=cwd,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run
 
 
 @pytest.fixture(scope="session")

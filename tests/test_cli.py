@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process through main()."""
 
+import json
 import os
 import subprocess
 import sys
@@ -723,3 +724,87 @@ class TestAtomicWrites:
                      "--histories", str(bad)]) == 2
         assert not good.exists()
         assert list(tmp_path.iterdir()) == [tmp_path / "file.txt"]
+
+
+class TestOutputFailures:
+    E8 = str(resources.files("ipdlab") / "data" / "EvolvedFSM8.fsm")
+    TOURNAMENT = ["tournament", *SMALL, "--out", "r.csv", "--histories", "h.txt",
+                  "--coop-report", "c.csv"]
+    EVOLVE = [*TestEvolveCommand.ARGS, "--log", "g.log", "--out", "best.fsm"]
+    PRUNE = ["prune", "--in", E8, "--out", "p.fsm"]
+
+    @pytest.mark.parametrize("argv, fail_at", [
+        (TOURNAMENT, 0), (TOURNAMENT, 1), (TOURNAMENT, 2), (EVOLVE, 0), (PRUNE, 0),
+    ], ids=["tournament_0", "tournament_1", "tournament_2", "evolve", "prune"])
+    def test_a_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys,
+                                                 argv, fail_at):
+        monkeypatch.chdir(tmp_path)
+        renamed = []
+        real_replace = os.replace
+
+        def replace_or_fail(src, dst):
+            if len(renamed) == fail_at:
+                raise OSError(f"no rename to {dst}")
+            real_replace(src, dst)
+            renamed.append(dst)
+
+        monkeypatch.setattr(os, "replace", replace_or_fail)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: no rename to ")
+        assert len(renamed) == fail_at
+        assert [path.name for path in tmp_path.iterdir() if ".tmp" in path.name] == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        (TOURNAMENT, "--out"), (TOURNAMENT, "--histories"), (TOURNAMENT, "--coop-report"),
+        (EVOLVE, "--log"), (EVOLVE, "--out"), (PRUNE, "--out"),
+    ], ids=["tournament_out", "histories", "coop_report", "evolve_log", "evolve_out",
+            "prune_out"])
+    def test_a_directory_as_an_output_is_refused_before_any_match(self, tmp_path, monkeypatch,
+                                                                  capsys, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        for name in ("r.csv", "h.txt", "c.csv", "g.log", "best.fsm", "p.fsm", "D/inside.txt"):
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(f"old {name}\n")
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+
+        def no_match(*args, **kwargs):
+            raise AssertionError("a match was played")
+
+        monkeypatch.setattr(ipdlab.kernels, "play_batch", no_match)
+        argv = [*argv]
+        argv[argv.index(flag) + 1] = "D"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {flag} D is a directory\n"
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*")
+                if path.is_file()} == before
+
+    @pytest.mark.parametrize("argv", [TOURNAMENT, EVOLVE, PRUNE],
+                             ids=["tournament", "evolve", "prune"])
+    def test_an_output_in_a_missing_directory_is_refused(self, tmp_path, monkeypatch, capsys,
+                                                         argv):
+        monkeypatch.chdir(tmp_path)
+        target = os.path.join("missing", "x")
+        argv = [*argv]
+        argv[argv.index("--out") + 1] = target
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: --out {target}: missing is not a directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_prune_and_equiv_load_neither_numpy_nor_the_kernel(tmp_path, capsys, fresh_python):
+    # the paper's last step, EvolvedFSM8 pruned to EvolvedFSM6, in a fresh interpreter
+    e8, pruned = TestOutputFailures.E8, str(tmp_path / "pruned.fsm")
+    runs = [["prune", "--in", e8, "--out", pruned, "--name", "EvolvedFSM6"],
+            ["equiv", "--a", e8, "--b", pruned]]
+    assert [main(argv) for argv in runs] == [0, 0]
+    expected = capsys.readouterr().out
+    assert (tmp_path / "pruned.fsm").read_text(encoding="utf-8") == _golden_text("EvolvedFSM6")
+    os.unlink(pruned)
+    out = fresh_python(
+        "import json, sys\n"
+        "from ipdlab.cli import main\n"
+        "assert [main(argv) for argv in json.loads(sys.argv[1])] == [0, 0]\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('ipdlab', 'numpy'))))\n",
+        json.dumps(runs))
+    assert out == expected + "['ipdlab', 'ipdlab.cli', 'ipdlab.fsm']\n"
+    assert (tmp_path / "pruned.fsm").read_text(encoding="utf-8") == _golden_text("EvolvedFSM6")

@@ -1,6 +1,7 @@
 """The benchmark's tracer finds ipdlab's layer boundaries by module and
 function name, so a renamed function would leave its layer reading 0."""
 
+import json
 import runpy
 from pathlib import Path
 
@@ -72,3 +73,23 @@ def test_a_default_run_derives_its_match_seeds_in_one_call_per_batch(tmp_path, m
         monkeypatch.setattr(module, "derive_seeds", counted)
     assert main(argv) == 0
     assert (len(derived), sum(derived)) == (calls, seeds)
+
+
+def test_a_tracer_built_right_after_a_bare_import_reads_the_pinned_counts(tmp_path, fresh_python):
+    # The tracer patches the modules loaded when it is built, and it loads each
+    # boundary's module itself, as `getattr(ipdlab, module)`.  The counts are
+    # the ones test_a_traced_default_run_counts_what_the_tracer_reads pins for EVOLVE.
+    names = ["kernels.matches", "rng.derive_seed_calls", "kernels.redundant_matches",
+             "kernels.play_batch_calls"]
+    out = fresh_python(
+        "import contextlib, io, json, runpy, sys\n"
+        "import ipdlab\n"
+        "tracer = runpy.run_path(sys.argv[1])['Tracer'](ipdlab)\n"
+        "tracer.install()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = ipdlab.cli.main(json.loads(sys.argv[2]))\n"
+        "tracer.uninstall()\n"
+        "metrics = tracer.layer_metrics(ipdlab.kernels, 0)\n"
+        "print(json.dumps([code, tracer.missing, [metrics[n] for n in json.loads(sys.argv[3])]]))\n",
+        str(TRACER), json.dumps(EVOLVE), json.dumps(names), cwd=tmp_path)
+    assert json.loads(out) == [0, ["ipdlab.kernels._batch_numba"], [3120, 133, 0, 4]]
