@@ -23,6 +23,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -221,9 +222,13 @@ def _batch_fitness(genomes, params: EvolutionParams, registry) -> list:
     position or neighbours.  If a match draws, two calls derive the seeds:
     each root derive_seed(seed, "fitness", key), then each (root, "opp", idx, rep)."""
     opponents = [registry.get(name).program for name in params.opponent_roster]
-    # one Program per genome, so the kernel packs each genome once
-    programs = [kernels.Program(kernels.KIND_FSM, *np.divmod(genome.codes, 2),
-                                *divmod(genome.opening, 2), 0.0) for genome in genomes]
+    # one Program per genome, so the kernel packs each genome once; one divmod splits them all
+    codes = [genome.codes for genome in genomes]
+    next_state, emit = np.divmod(np.fromiter(chain.from_iterable(codes), np.int64), 2)
+    starts = [0, *accumulate(map(len, codes))]
+    programs = [kernels.Program(kernels.KIND_FSM, next_state[i:j], emit[i:j],
+                                *divmod(genome.opening, 2), 0.0)
+                for genome, i, j in zip(genomes, starts, starts[1:])]
     pairs = [(program, opp) for program in programs for opp in opponents]
 
     def seeds_of(unshared):

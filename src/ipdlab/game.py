@@ -20,6 +20,7 @@ a machine about its own state.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -91,6 +92,9 @@ class MatchRecord(NamedTuple):
     payoff_b: float
 
 
+_new_record = partial(tuple.__new__, MatchRecord)  # MatchRecord of a 4-tuple, no Python frame
+
+
 def score_actions(codes_a, codes_b, matrix: PayoffMatrix = DEFAULT_PAYOFFS) -> tuple:
     """A's and B's payoff totals of action codes (C = 0, D = 1), summed over the
     last axis: one pair of totals per match for a (matches, turns) block."""
@@ -109,7 +113,7 @@ def match_records(codes_a, codes_b, matrix: PayoffMatrix = DEFAULT_PAYOFFS) -> l
              for codes in (codes_a, codes_b))
     text_a, text_b = ([text[i:i + turns] for i in range(0, len(text), turns)] for text in texts)
     payoffs_a, payoffs_b = score_actions(codes_a, codes_b, matrix)
-    return list(map(MatchRecord, text_a, text_b, payoffs_a.tolist(), payoffs_b.tolist()))
+    return list(map(_new_record, zip(text_a, text_b, payoffs_a.tolist(), payoffs_b.tolist())))
 
 
 @dataclass(frozen=True)

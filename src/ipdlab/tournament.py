@@ -15,6 +15,7 @@ across repetitions, ties broken by roster position.
 """
 
 import math
+import operator
 import statistics
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .fsm import read_text
-from .game import MatchRecord, match_records
+from .game import MatchRecord, _new_record, match_records
 from .rng import derive_seeds
 from .strategies import default_registry
 
@@ -251,11 +252,11 @@ def read_history_dump(path) -> dict:
     match named twice.
 
     The file is read whole, and a byte that is not UTF-8 is named before
-    any other fault.  The text is cut into fields, and each rule is checked
-    on a whole column of them.  If a check fails, or the text does not end
-    in a line end, its lines are walked one by one instead, so a refusal
-    names the first bad line and the first rule it breaks.  A file that
-    passes the column checks reads as the walk reads it.
+    any other fault.  Each rule is checked on a whole column of the text's
+    fields, line ends too: one in each field that joins two lines, none in
+    any other.  If a check fails, or the text does not end in a line end,
+    its lines are walked one by one instead, so a refusal names the first
+    bad line and the first rule it breaks.  Both ways read a good file alike.
     """
     text = read_text(path)
     histories = _dump_columns(text)
@@ -267,21 +268,21 @@ def read_history_dump(path) -> dict:
 def _dump_columns(text):
     """The histories mapping of a dump's text, or None if the text does not
     end in a line end or a line breaks a rule of read_history_dump."""
-    matches = text.count("\n")
     fields = text.split("|")
     # Each of fields[6::6] is one line's last field, its '\n' and the next
-    # line's first field.  With 6 '|' per line in all, every line holds 6
-    # exactly when each of these holds a '\n'.
+    # line's first field.  Every line holds 6 '|' exactly when each of these
+    # holds one '\n' and no other field does: digits and C/D text hold none.
     joints = fields[6::6]
-    if not (text.endswith("\n") and len(fields) == 6 * matches + 1
-            and all("\n" in joint for joint in joints)):
-        return None
     ends = "\n".join(joints).split("\n")  # payoff b, next line's name a, ..., ''
     names_a, pays_b = fields[:1] + ends[1:-1:2], ends[::2]
     names_b, reps, acts_a, acts_b, pays_a = (fields[k::6] for k in range(1, 6))
-    if not (all(names_a) and all(names_b) and all(reps) and all(acts_a) and all(acts_b)):
+    if not (text.endswith("\n") and (len(fields) - 1) % 6 == 0 and len(ends) == 2 * len(joints)
+            and all(map(operator.contains, joints, "\n" * len(joints)))
+            and "\n" not in "".join(fields[:1] + names_b + pays_a)
+            and all(names_a) and all(names_b) and all(reps) and all(acts_a) and all(acts_b)):
         return None
-    if "".join(acts_a + acts_b).encode().translate(None, b"CD"):
+    letters = np.frombuffer("".join(acts_a + acts_b).encode(), np.uint8)
+    if letters.min() < ord("C") or letters.max() > ord("D"):  # C and D are adjacent in ASCII
         return None
     rep_text = "".join(reps)
     if not (rep_text.isascii() and rep_text.isdigit()):
@@ -296,8 +297,8 @@ def _dump_columns(text):
     if not (all(map(math.isfinite, payoffs_a)) and all(map(math.isfinite, payoffs_b))):
         return None
     histories = dict(zip(zip(names_a, names_b, repetitions),
-                         map(MatchRecord, acts_a, acts_b, payoffs_a, payoffs_b)))
-    return histories if len(histories) == matches else None
+                         map(_new_record, zip(acts_a, acts_b, payoffs_a, payoffs_b))))
+    return histories if len(histories) == len(joints) else None
 
 
 def _read_dump_lines(path, lines) -> dict:

@@ -1,5 +1,5 @@
 """Single-byte edits to the files the package reads back: history dumps,
-generation logs and FSM files.
+generation logs and FSM files, and stacked edits to history dumps.
 
 An edited file either reads or is refused with a ValueError whose message
 starts with the file's path and the line at fault.  The history dump's
@@ -9,16 +9,19 @@ column check must read every edited dump as its line walk does.
 import re
 from importlib import resources
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ipdlab import (
     EvolutionParams,
+    MatchRecord,
     TournamentConfig,
     evolve,
     load_fsm_file,
     read_generation_log,
     read_history_dump,
+    roster_default,
     run_tournament,
 )
 from ipdlab.evolution import render_generation_line
@@ -133,6 +136,54 @@ def _assert_read_as_the_line_walk_reads(tmp_path, data):
 @given(dump=st.sampled_from(DUMPS), edit=EDITS)
 def test_the_column_check_reads_an_edited_dump_as_the_line_walk_does(tmp_path, dump, edit):
     _assert_read_as_the_line_walk_reads(tmp_path, _edit(dump, *edit)[0])
+
+
+# ("move", which, where): take out the which-th '|' or line-end byte and put it
+# back at where.  A moved line end keeps the file's line-end count, so only the
+# joints tell whether each line still holds 6 '|'.
+MOVES = st.tuples(st.just("move"), st.integers(min_value=0), st.integers(min_value=0))
+
+
+def _move(data, which, where):
+    marks = [at for at, byte in enumerate(data) if byte in b"|\r\n"]
+    at = marks[which % len(marks)]
+    rest = data[:at] + data[at + 1:]
+    where %= len(rest) + 1
+    return rest[:where] + data[at:at + 1] + rest[where:]
+
+
+@settings(max_examples=500, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dump=st.sampled_from(DUMPS), edits=st.lists(st.one_of(EDITS, MOVES), min_size=1, max_size=4))
+def test_the_column_check_reads_a_dump_with_stacked_edits_as_the_line_walk_does(
+        tmp_path, dump, edits):
+    for edit in edits:
+        dump = _move(dump, *edit[1:]) if edit[0] == "move" else _edit(dump, *edit)[0]
+    _assert_read_as_the_line_walk_reads(tmp_path, dump)
+
+
+@pytest.mark.parametrize("data", [
+    b"1|2|0|C|C|3|3\n4\n5\n1|2|1|C|C|3|3\n",  # two more in one joint, between names float() reads
+    b"A\n|B|0|C|C|3|3\nA|B|1|C|C|3|3\n",  # one in the first name a
+    b"A|B\n|0|C|C|3|3\nA|B|1|C|C|3|3\n",  # one in a name b
+    b"A|B|0|C|C|3\n|3\nA|B|1|C|C|3|3\n",  # one in a payoff a, which float() would read
+])
+def test_a_line_end_outside_its_joint_takes_the_line_walk(tmp_path, data):
+    _assert_read_as_the_line_walk_reads(tmp_path, data)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_a_default_roster_dump_takes_the_column_path_as_match_records(noise):
+    # the line walk would read it the same, so only this tells a lost fast path
+    result = run_tournament(TournamentConfig(
+        roster=tuple(sid.name for sid in roster_default()), turns=200, repetitions=10,
+        noise=noise, master_seed=0))
+    histories = _dump_columns(render_history_dump(result))
+    assert histories is not None
+    assert list(histories.items()) == list(result.histories.items())
+    # a MatchRecord equals its plain tuple, so only the type tells them apart;
+    # the tournament's records come from game.match_records
+    assert all(type(record) is MatchRecord for record in histories.values())
+    assert all(type(record) is MatchRecord for record in result.histories.values())
 
 
 def test_a_repetition_too_long_for_int_comes_after_an_earlier_line_fault(tmp_path):
