@@ -76,7 +76,8 @@ def run_tournament(config: TournamentConfig, registry=None) -> TournamentResult:
 
     Pure function of its arguments: calling it twice gives equal
     results, and reordering config.roster only reorders tie-breaks,
-    never the underlying matches.
+    never the underlying matches.  Each (pair, rep)'s payoffs are looked
+    up by the row that played it and summed per seat in one array step.
     """
     reg = registry if registry is not None else default_registry()
     entries = [reg.get(name) for name in config.roster]
@@ -103,18 +104,15 @@ def run_tournament(config: TournamentConfig, registry=None) -> TournamentResult:
         for rep, row in enumerate(rows)
     }
 
-    scores = {name: [] for name in names}
-    for rep in range(config.repetitions):
-        totals = {name: 0.0 for name in names}
-        seats = {name: 0 for name in names}
-        for name_a, name_b in pairs:
-            record = histories[(name_a, name_b, rep)]
-            totals[name_a] += record.payoff_a
-            seats[name_a] += 1
-            totals[name_b] += record.payoff_b
-            seats[name_b] += 1
-        for name in names:
-            scores[name].append(totals[name] / (config.turns * seats[name]))
+    # Sum each (pair, rep) match's payoffs per seat.  They come from the integer DEFAULT_PAYOFFS,
+    # so the order of summation cannot move a bit (_batch_fitness relies on the same).
+    position = {name: i for i, name in enumerate(names)}
+    seats = np.array([position[pair[seat]] for seat in (0, 1) for pair in pairs])
+    pay_a, pay_b = np.array([record[2:] for record in records]).T
+    totals = np.zeros((len(names), config.repetitions))
+    np.add.at(totals, seats, np.concatenate([pay_a[index], pay_b[index]]))
+    played = np.bincount(seats, minlength=len(names))  # matches per repetition, a self-match twice
+    scores = dict(zip(names, (totals / (config.turns * played[:, None])).tolist()))
 
     ranking = _rank(scores, names)
     return TournamentResult(
@@ -173,16 +171,26 @@ def cooperation_rates(histories, player: str) -> CooperationReport:
     TournamentResult carries (the history-dump reader produces the same
     shape).  Turn k >= 2 contributes one sample to the context formed by
     turn k-1's recorded actions, so a context never spans two matches.
-    A self-match is seen from both seats.
+    A self-match is seen from both seats.  A view depends only on its record
+    and seat, so a record object that serves the player's next match in the
+    same seat too is tallied once, weighted by the matches it stands for.
     """
-    own_texts, opp_texts = [], []
+    own_texts, opp_texts, repeats = [], [], []  # repeats: a view index per extra match it stands for
+    last = last_a = last_b = None
     for (name_a, name_b, _rep), record in histories.items():
-        if name_a == player:
-            own_texts.append(record.actions_a)
-            opp_texts.append(record.actions_b)
-        if name_b == player:
-            own_texts.append(record.actions_b)
-            opp_texts.append(record.actions_a)
+        if name_a == player or name_b == player:
+            if record is last and (name_a == player, name_b == player) == (last_a == player, last_b == player):
+                repeats.append(len(own_texts) - 1)
+                if name_a == name_b:  # a self-match's seat-a view too
+                    repeats.append(len(own_texts) - 2)
+                continue
+            last, last_a, last_b = record, name_a, name_b
+            if name_a == player:
+                own_texts.append(record.actions_a)
+                opp_texts.append(record.actions_b)
+            if name_b == player:
+                own_texts.append(record.actions_b)
+                opp_texts.append(record.actions_a)
     if not own_texts:
         raise ValueError(f"player {player!r} appears in none of the given histories")
     # All views end to end with an X between two matches: C = 0, D = 1, X = 21.
@@ -191,7 +199,11 @@ def cooperation_rates(histories, player: str) -> CooperationReport:
     # Bin 4 * own_prev + 2 * opp_prev + own_next is 0-7 for two turns of one
     # match; two positions that touch an X span two matches and land in 21-147.
     codes = 4 * own[:-1] + 2 * opp[:-1] + own[1:]
-    tallies = np.bincount(codes, minlength=8)[:8]
+    weights = None  # every code counts once, in integers, unless a view repeats
+    if repeats:  # then a view and the X after it weigh its matches; float sums of integers are exact
+        matches = np.bincount(repeats, minlength=len(own_texts)) + 1
+        weights = np.repeat(matches, [len(text) + 1 for text in own_texts])[:-2]
+    tallies = np.bincount(codes, weights, minlength=8)[:8]
     contexts = {
         label: ContextStats(int(next_c + next_d), int(next_c))
         for label, (next_c, next_d) in zip(CONTEXTS, tallies.reshape(4, 2))
@@ -222,14 +234,17 @@ def _format_payoff(value: float) -> str:
 
 
 def render_history_dump(result: TournamentResult) -> str:
+    """One `name_a|name_b|rep|actions_a|actions_b|payoff_a|payoff_b` line per match; a record
+    that also served the line before (as a noise-0 pair's repetitions do) reuses its tail."""
     lines = []
+    shown = tail = None
     for (name_a, name_b, rep), record in result.histories.items():
         if "|" in name_a or "|" in name_b:
             raise ValueError("strategy names in a history dump cannot contain '|'")
-        lines.append(
-            f"{name_a}|{name_b}|{rep}|{record.actions_a}|{record.actions_b}|"
-            f"{_format_payoff(record.payoff_a)}|{_format_payoff(record.payoff_b)}"
-        )
+        if record is not shown:
+            shown, tail = record, (f"{record.actions_a}|{record.actions_b}|"
+                                   f"{_format_payoff(record.payoff_a)}|{_format_payoff(record.payoff_b)}")
+        lines.append(f"{name_a}|{name_b}|{rep}|{tail}")
     return "\n".join(lines) + "\n"
 
 
@@ -291,7 +306,7 @@ def _dump_columns(text):
         return None
     try:  # int() refuses a repetition longer than sys.get_int_max_str_digits()
         payoffs_a, payoffs_b = list(map(float, pays_a)), list(map(float, pays_b))
-        repetitions = list(map(int, reps))
+        repetitions = list(map({rep: int(rep) for rep in set(reps)}.__getitem__, reps))
     except ValueError:
         return None
     if not (all(map(math.isfinite, payoffs_a)) and all(map(math.isfinite, payoffs_b))):
