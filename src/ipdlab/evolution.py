@@ -23,7 +23,6 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain
 
 import numpy as np
 
@@ -119,9 +118,8 @@ def _key(genome) -> str:
 
 def _from_spec(spec: FsmSpec) -> _Genome:
     program = kernels.fsm_program(spec)
-    return _Genome(spec.name, tuple(sorted(set(spec.states))),
-                   (2 * program.next_state + program.emit).ravel().tolist(),
-                   2 * program.start + program.first)
+    return _Genome(spec.name, tuple(sorted(set(spec.states))), program.codes.tolist(),
+                   program.opening)
 
 
 def _to_spec(genome: _Genome) -> FsmSpec:
@@ -222,13 +220,9 @@ def _batch_fitness(genomes, params: EvolutionParams, registry) -> list:
     position or neighbours.  If a match draws, two calls derive the seeds:
     each root derive_seed(seed, "fitness", key), then each (root, "opp", idx, rep)."""
     opponents = [registry.get(name).program for name in params.opponent_roster]
-    # one Program per genome, so the kernel packs each genome once; one divmod splits them all
-    codes = [genome.codes for genome in genomes]
-    next_state, emit = np.divmod(np.fromiter(chain.from_iterable(codes), np.int64), 2)
-    starts = [0, *accumulate(map(len, codes))]
-    programs = [kernels.Program(kernels.KIND_FSM, next_state[i:j], emit[i:j],
-                                *divmod(genome.opening, 2), 0.0)
-                for genome, i, j in zip(genomes, starts, starts[1:])]
+    # one Program per genome, so the kernel packs each genome once
+    programs = [kernels.Program(kernels.KIND_FSM, genome.codes, genome.opening, 0.0)
+                for genome in genomes]
     pairs = [(program, opp) for program in programs for opp in opponents]
 
     def seeds_of(unshared):

@@ -1,11 +1,11 @@
 """Vectorized match kernel: every match the package plays runs here.
 
-Each strategy is flattened into a `Program`, a lookup table or a coin,
-and one numpy loop plays a whole batch of matches by the draw-order
-contract in `game.py`.  A match with seed s has three SplitMix64 streams
-(A, B and noise, tags 1, 2 and 3), each starting in state
-mix64((s + tag * GOLDEN) mod 2**64).  The kernel must agree bit for bit
-with the per-turn loop `tests/conftest.py::reference_play`.
+Each strategy is flattened into a `Program`, a machine's move codes or
+a coin, and one numpy loop plays a whole batch of matches by the
+draw-order contract in `game.py`.  A match with seed s has three
+SplitMix64 streams (A, B and noise, tags 1, 2 and 3), each starting in
+state mix64((s + tag * GOLDEN) mod 2**64).  The kernel must agree bit
+for bit with the per-turn loop `tests/conftest.py::reference_play`.
 
 Draw k of a stream in state s is mix64(s + k * GOLDEN), so no draw
 needs the ones before it.  A Random row's move on turn t is draw t + 1
@@ -13,9 +13,10 @@ of its own stream, and the noise flips of turn t are noise-stream draws
 2t + 1 (A) and 2t + 2 (B); a machine draws nothing.  The kernel computes
 all of these for BLOCK_TURNS turns at a time, as one int8 block of bits
 per side, before it steps those turns.  The per-turn loop is then the
-table step alone: one gather per side from a flat table of
-2 * next state + own action, and an XOR with the block's bits.  A
-Random row steps an all-zero table, so its coin alone decides its move.
+table step alone: one gather per side from a flat table of the side's
+move codes, laid end to end, and an XOR with the block's bits.  A
+Random row steps cells that all name its own first cell and C, so its
+coin alone decides its move.
 """
 
 from operator import itemgetter
@@ -56,23 +57,29 @@ def active_backend() -> str:
 
 
 class Program:
-    """Flat, kernel-ready form of one strategy.
+    """Flat, kernel-ready form of one strategy, in the genome's encoding.
 
-    kind KIND_FSM uses next_state/emit/start/first; kind KIND_RANDOM
-    ignores them and cooperates with probability p each turn.  States
-    are re-indexed to 0..n-1 in ascending id order.  next_state/emit come
-    as (n, 2) tables or flat ones (cell 2*i + a is row i, column a).
+    Kind KIND_FSM plays codes and opening: states are re-indexed to
+    0..n-1 in ascending id order, cell 2 * i + a (state i, opponent's
+    move a) holds 2 * target + own move, and opening is 2 * start + first
+    move.  Kind KIND_RANDOM ignores them and cooperates with probability
+    p each turn.
     """
 
-    __slots__ = ("kind", "next_state", "emit", "start", "first", "p")
+    __slots__ = ("kind", "codes", "opening", "p")
 
-    def __init__(self, kind, next_state, emit, start, first, p):
+    def __init__(self, kind, codes, opening, p):
         self.kind = kind
-        self.next_state = np.asarray(next_state, dtype=np.int64).reshape(-1, 2)
-        self.emit = np.asarray(emit, dtype=np.int8).reshape(-1, 2)
-        self.start = start
-        self.first = first
+        self.codes = np.asarray(codes, dtype=np.int64)
+        self.opening = opening
         self.p = p
+
+    # Decoded views that only perfbench's tracer reads; they go when the
+    # tracer stops reading them (ROADMAP item 3 or 6).
+    next_state = property(lambda self: self.codes.reshape(-1, 2) >> 1)
+    emit = property(lambda self: self.codes.reshape(-1, 2) & 1)
+    start = property(lambda self: self.opening >> 1)
+    first = property(lambda self: self.opening & 1)
 
 
 def fsm_program(spec) -> Program:
@@ -80,36 +87,39 @@ def fsm_program(spec) -> Program:
     index = {s: i for i, s in enumerate(sorted(set(spec.states)))}
     # Action is an IntEnum, so plain ints hit the same dict keys.
     moves = [spec.transitions[(s, opp)] for s in index for opp in (0, 1)]
-    return Program(KIND_FSM, [index[target] for target, _ in moves], [int(own) for _, own in moves],
-                   index[spec.start_state], int(spec.initial_action), 0.0)
+    return Program(KIND_FSM, [2 * index[target] + own for target, own in moves],
+                   2 * index[spec.start_state] + int(spec.initial_action), 0.0)
 
 
 def random_program(p: float) -> Program:
     """Encode a coin-flip strategy that cooperates with probability p."""
-    return Program(KIND_RANDOM, [0, 0], [0, 0], 0, 0, float(p))
+    return Program(KIND_RANDOM, [0, 0], 0, float(p))
 
 
 def _pack(programs):
-    """Padded arrays of the distinct program objects, plus the slot of each entry.
+    """One side's flat step table, and each row's entry for turn one, kind and p.
 
     A batch repeats a few program objects over many rows, so each is
-    encoded once; the kernel reads row i's program at slot[i].  Program
-    defines no __eq__, so two objects of equal content get two slots.
+    encoded once: the distinct objects' codes lie end to end, and a
+    program whose cells start at cell base contributes codes + base, its
+    entry being opening + base.  Program defines no __eq__, so two
+    objects of equal content are encoded twice.  A Random program's
+    cells and entry all hold base, whatever it holds: its stepped action
+    is always 0, so its coin decides its move alone.  Table and entries
+    are int32 to keep the kernel's (BLOCK_TURNS, matches) key blocks small.
     """
     distinct = list(dict.fromkeys(programs))
     position = {prog: i for i, prog in enumerate(distinct)}
     slot = np.fromiter(map(position.__getitem__, programs), np.int64, len(programs))
-    width = max(prog.next_state.shape[0] for prog in distinct)
-    next_state = np.zeros((len(distinct), width, 2), dtype=np.int64)
-    emit = np.zeros((len(distinct), width, 2), dtype=np.int8)
-    for i, prog in enumerate(distinct):
-        next_state[i, :len(prog.next_state)] = prog.next_state
-        emit[i, :len(prog.emit)] = prog.emit
     kind = np.array([prog.kind for prog in distinct], dtype=np.int8)
-    start = np.array([prog.start for prog in distinct], dtype=np.int64)
-    first = np.array([prog.first for prog in distinct], dtype=np.int8)
+    machine = kind == KIND_FSM
+    sizes = [prog.codes.size for prog in distinct]
+    base = np.cumsum(sizes) - sizes
+    cells = np.concatenate([prog.codes for prog in distinct])
+    table = np.repeat(base, sizes) + np.repeat(machine, sizes) * cells
+    opening = base + machine * np.array([prog.opening for prog in distinct])
     coop_p = np.array([prog.p for prog in distinct], dtype=np.float64)
-    return kind, next_state, emit, start, first, coop_p, slot
+    return table.astype(np.int32), opening[slot].astype(np.int32), kind[slot], coop_p[slot]
 
 
 # ── kernel ───────────────────────────────────────────────────────────
@@ -140,29 +150,10 @@ def _draws(state, first, count, step=1):
     return _mix_in_place(state + (k * _UG)[:, None])
 
 
-def _step_table(kind, next_state, emit, start, first, slot):
-    """The flat step table of one side's packed programs, and each row's
-    entry for turn one.
-
-    A state's global index g is slot * width + state; the table holds
-    2 * g' + emit at key 2 * g + opp, where (g', emit) is the transition
-    on the opponent's recorded move opp.  A Random slot's table and
-    opening are all zero, whatever its Program holds: its stepped action
-    is always 0, so its coin decides its move alone.  Keys are int32 to
-    keep the kernel's (BLOCK_TURNS, matches) key blocks small.
-    """
-    machine = kind == KIND_FSM
-    base = np.arange(len(kind)) * next_state.shape[1]
-    cells = machine[:, None, None]
-    table = 2 * (base[:, None, None] + cells * next_state) + cells * emit
-    opening = 2 * (base + machine * start) + machine * first
-    return table.ravel().astype(np.int32), opening[slot].astype(np.int32)
-
-
-def _coins(kind, p, slot, seeds, tag):
+def _coins(kind, p, seeds, tag):
     """One side's Random rows, their streams' states and their limits of p."""
-    rows = np.flatnonzero(kind[slot] == KIND_RANDOM)
-    return rows, _mix_in_place(seeds[rows] + tag), _limit(p[slot[rows]])
+    rows = np.flatnonzero(kind == KIND_RANDOM)
+    return rows, _mix_in_place(seeds[rows] + tag), _limit(p[rows])
 
 
 def _bits(coins, noise_stream, t0, count, side):
@@ -188,14 +179,13 @@ def _bits(coins, noise_stream, t0, count, side):
     return bits
 
 
-def _batch_numpy(kind_a, next_a, emit_a, start_a, first_a, p_a, slot_a,
-                 kind_b, next_b, emit_b, start_b, first_b, p_b, slot_b,
-                 turns, noise, seeds, out_a, out_b):
+def _batch_numpy(side_a, side_b, turns, noise, seeds, out_a, out_b):
+    """Play the rows of two sides packed by _pack into out_a and out_b."""
     rows = seeds.shape[0]
-    table_a, entry_a = _step_table(kind_a, next_a, emit_a, start_a, first_a, slot_a)
-    table_b, entry_b = _step_table(kind_b, next_b, emit_b, start_b, first_b, slot_b)
-    coins_a = _coins(kind_a, p_a, slot_a, seeds, _TAG1)
-    coins_b = _coins(kind_b, p_b, slot_b, seeds, _TAG2)
+    table_a, entry_a, kind_a, p_a = side_a
+    table_b, entry_b, kind_b, p_b = side_b
+    coins_a = _coins(kind_a, p_a, seeds, _TAG1)
+    coins_b = _coins(kind_b, p_b, seeds, _TAG2)
     noise_stream = (_mix_in_place(seeds + _TAG3), _limit(noise))
     # key_a[k] is A's table key after turn t0 + k: its bit 0 is B's recorded move
     key_a = np.empty((BLOCK_TURNS, rows), dtype=np.int32)
@@ -242,8 +232,7 @@ def play_batch(progs_a, progs_b, turns, noise, seeds):
     out_b = np.zeros((count, turns), dtype=np.int8)
     if count == 0:
         return out_a, out_b
-    args = _pack(progs_a) + _pack(progs_b)
-    _batch_numpy(*args, turns, float(noise), seed_arr, out_a, out_b)
+    _batch_numpy(_pack(progs_a), _pack(progs_b), turns, float(noise), seed_arr, out_a, out_b)
     return out_a, out_b
 
 

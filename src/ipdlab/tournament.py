@@ -53,6 +53,9 @@ class TournamentConfig:
             raise ValueError(f"noise must lie in [0, 1], got {self.noise}")
         if len(self.roster) < 2:
             raise ValueError("a tournament needs at least two entrants")
+        # the registry looks names up case-insensitively
+        if len({name.lower() for name in self.roster}) != len(self.roster):
+            raise ValueError(f"roster entries must be distinct, got {list(self.roster)}")
 
 
 @dataclass(frozen=True)
@@ -82,8 +85,6 @@ def run_tournament(config: TournamentConfig, registry=None) -> TournamentResult:
     reg = registry if registry is not None else default_registry()
     entries = [reg.get(name) for name in config.roster]
     names = [entry.id.name for entry in entries]
-    if len(set(names)) != len(names):
-        raise ValueError(f"roster entries must be distinct, got {names}")
     by_name = dict(zip(names, entries))
 
     pairing = combinations_with_replacement if config.include_self_matches else combinations

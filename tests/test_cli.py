@@ -194,6 +194,16 @@ class TestExitCodes:
     def test_bad_config_value_is_data_error(self, capsys):
         assert main(["tournament", "--roster", "Cooperator,Defector", "--turns", "0"]) == 2
 
+    def test_a_repeated_entrant_is_refused_before_any_output(self, tmp_path, capsys):
+        # the registry finds both names, so one entrant would play itself
+        out = tmp_path / "ranking.csv"
+        assert main(["tournament", "--roster", "TitForTat,titfortat", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: roster entries must be distinct, "
+                                "got ['TitForTat', 'TitForTat']\n")
+        assert captured.out == ""
+        assert not out.exists()
+
 
 TINY_EVOLVE = ["evolve", "--generations", "1", "--num-states", "2", "--population-size", "4",
                "--bottleneck", "2", "--turns", "3", "--repetitions", "1", "--roster", "TitForTat"]

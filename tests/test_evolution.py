@@ -278,6 +278,36 @@ class TestGenomeKey:
         assert _from_spec(spec).key == _sha256_key(spec)
 
 
+def _decoded(program):
+    """A machine Program's transitions and opening, read through its views."""
+    return ({(i, opp): (int(program.next_state[i, opp]), int(program.emit[i, opp]))
+             for i in range(len(program.next_state)) for opp in (0, 1)},
+            int(program.start), int(program.first))
+
+
+class TestOneEncoding:
+    """A kernel Program holds the genome's move codes; fsm_program is their one encoder."""
+
+    @given(spec=any_fsm_specs, seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_a_program_and_a_genome_hold_the_same_codes(self, spec, seed):
+        program, genome = kernels.fsm_program(spec), _from_spec(spec)
+        assert (program.codes.tolist(), program.opening) == (genome.codes, genome.opening)
+        child = _mutate_all([genome], 0.5, [SplitMix64(seed)], ["child"])[0]
+        program = kernels.fsm_program(_to_spec(child))
+        assert (program.codes.tolist(), program.opening) == (child.codes, child.opening)
+
+    @pytest.mark.parametrize("name", [sid.name for sid in roster_default()
+                                      if default_registry().get(sid.name).spec is not None])
+    def test_the_tracer_views_decode_the_transitions_by_state_index(self, name):
+        spec = default_registry().get(name).spec
+        index = {s: i for i, s in enumerate(sorted(set(spec.states)))}
+        transitions = {(index[s], opp): (index[target], own)
+                       for (s, opp), (target, own) in spec.transitions.items()}
+        assert _decoded(kernels.fsm_program(spec)) == (
+            transitions, index[spec.start_state], spec.initial_action)
+
+
 class TestFitness:
     def test_cooperation_scores_three(self):
         params = _params(opponent_roster=("Cooperator",), turns=10, repetitions=2)

@@ -1,10 +1,14 @@
 """Kernel parity: the numpy kernel and the per-turn reference loop must agree."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ipdlab
 from ipdlab import FsmSpec, default_registry, roster_default
 from ipdlab.kernels import (
     BLOCK_TURNS,
@@ -64,14 +68,16 @@ class TestReferenceParity:
 
 class TestBatchMechanics:
     def test_pack_gives_each_program_object_one_slot(self, e6):
-        # Program defines no __eq__: equal content in two objects is two slots
+        # Program defines no __eq__: equal content in two objects is encoded twice
         first, twin, other = fsm_program(e6), fsm_program(e6), random_program(0.3)
-        kind, next_state, _, _, _, coop_p, slot = _pack([first, twin] + [other] * 50 + [first])
-        assert slot.tolist() == [0, 1] + [2] * 50 + [0]
-        assert kind.tolist() == [0, 0, 1]
-        assert np.array_equal(next_state[0], next_state[1])
-        assert np.array_equal(next_state[0], first.next_state)
-        assert coop_p.tolist() == [0.0, 0.0, 0.3]
+        table, entry, kind, coop_p = _pack([first, twin] + [other] * 50 + [first])
+        cells = first.codes.size  # twin's cells start here, other's at 2 * cells
+        assert table.tolist() == [*first.codes.tolist(), *(twin.codes + cells).tolist(),
+                                  2 * cells, 2 * cells]
+        assert entry.tolist() == ([first.opening, twin.opening + cells] + [2 * cells] * 50
+                                  + [first.opening])
+        assert kind.tolist() == [0, 0] + [1] * 50 + [0]
+        assert coop_p.tolist() == [0.0, 0.0] + [0.3] * 50 + [0.0]
 
     def test_mixed_state_counts_pad_correctly(self, e6, secondprac):
         # 6-state and 10-state machines in one batch must behave exactly
@@ -252,11 +258,11 @@ class TestBlockEdges:
 
     @pytest.mark.parametrize("noise", [0.0, 0.1])
     def test_a_coin_ignores_the_tables_of_its_program(self, e6, noise):
-        # a Random program's tables are never stepped: filled-in ones play
-        # the coin of all-zero ones, next to machines that pad the batch
+        # a Random program's codes are never stepped: filled-in ones play
+        # the coin of all-zero ones, next to a machine's cells in the table
         machine = fsm_program(e6)
-        cells = machine.emit.size
-        filled = Program(KIND_RANDOM, [1] * cells, [1] * cells, 2, 1, 0.5)
+        cells = machine.codes.size
+        filled = Program(KIND_RANDOM, [3] * cells, 5, 0.5)
         plain = random_program(0.5)
         turns = 2 * BLOCK_TURNS + 1
         want_a, want_b = play_batch([plain, machine], [machine, plain], turns, noise, [4, 5])
@@ -273,3 +279,15 @@ def test_limit_is_the_integer_form_of_a_double_below_level(level):
     for m in (limit - 1, limit):
         if 0 <= m < 2 ** 53:
             assert (m * 2.0 ** -53 < level) == (m < limit)
+
+
+def test_no_module_reads_the_program_views_that_only_the_tracer_reads():
+    # next_state, emit, start and first decode a Program's codes and opening
+    # for perfbench's tracer; the package reads codes and opening alone.
+    views = {"next_state", "emit", "start", "first"}
+    reads = [f"{path.name}: {ast.unparse(node)}"
+             for path in sorted(Path(ipdlab.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in views]
+    # fsm.read_text reads the offset of a UnicodeDecodeError, not of a Program
+    assert reads == ["fsm.py: exc.start", "fsm.py: exc.start"]
