@@ -211,8 +211,8 @@ def _fmt(value: float) -> str:
 
 def _cmd_tournament(args) -> int:
     from .kernels import active_backend
-    from .tournament import (CONTEXTS, TournamentConfig, cooperation_rates, render_history_dump,
-                             render_ranking_csv, run_tournament)
+    from .tournament import (CONTEXTS, TournamentConfig, _refuse_dump_names, cooperation_rates,
+                             render_history_dump, render_ranking_csv, run_tournament)
 
     _refuse_bad_outputs(("--out", args.out), ("--histories", args.histories),
                         ("--coop-report", args.coop_report))
@@ -225,6 +225,8 @@ def _cmd_tournament(args) -> int:
         master_seed=args.seed,
         include_self_matches=args.self_matches,
     )
+    if args.histories:
+        _refuse_dump_names(names)
     _print_header("tournament", [
         ("roster", ",".join(names)),
         ("turns", config.turns),
@@ -364,12 +366,12 @@ def _cmd_equiv(args) -> int:
 
     spec_a = load_fsm_file(args.a_path)
     spec_b = load_fsm_file(args.b_path)
+    same = behaviorally_equivalent(spec_a, spec_b, horizon=args.horizon)  # refuses a bad horizon
     _print_header("equiv", [
         ("a", f"{args.a_path} ({spec_a.name})"),
         ("b", f"{args.b_path} ({spec_b.name})"),
         ("horizon", args.horizon if args.horizon is not None else "exact"),
     ])
-    same = behaviorally_equivalent(spec_a, spec_b, horizon=args.horizon)
     print("equivalent" if same else "not equivalent")
     return 0
 
@@ -401,12 +403,12 @@ def _cmd_trace(args) -> int:
 def _cmd_rates(args) -> int:
     from .tournament import CONTEXTS, cooperation_rates, read_history_dump
 
-    histories = read_history_dump(args.in_path)
+    histories = read_history_dump(args.in_path, args.player)
     report = cooperation_rates(histories, args.player)
     _print_header("rates", [
         ("in", args.in_path),
         ("player", args.player),
-        ("matches", sum(1 for (a, b, _) in histories if args.player in (a, b))),
+        ("matches", len(histories)),
     ])
     print("context count rate")
     for label in CONTEXTS:

@@ -18,7 +18,7 @@ import math
 import operator
 import statistics
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, count
 
 import numpy as np
 
@@ -234,14 +234,20 @@ def _format_payoff(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else repr(float(value))
 
 
+def _refuse_dump_names(names):
+    """Refuse names that a history dump, whose fields are split on '|', cannot hold."""
+    if any("|" in name for name in names):
+        raise ValueError("strategy names in a history dump cannot contain '|'")
+
+
 def render_history_dump(result: TournamentResult) -> str:
     """One `name_a|name_b|rep|actions_a|actions_b|payoff_a|payoff_b` line per match; a record
     that also served the line before (as a noise-0 pair's repetitions do) reuses its tail."""
+    histories = result.histories
+    _refuse_dump_names({*map(operator.itemgetter(0), histories), *map(operator.itemgetter(1), histories)})
     lines = []
     shown = tail = None
-    for (name_a, name_b, rep), record in result.histories.items():
-        if "|" in name_a or "|" in name_b:
-            raise ValueError("strategy names in a history dump cannot contain '|'")
+    for (name_a, name_b, rep), record in histories.items():
         if record is not shown:
             shown, tail = record, (f"{record.actions_a}|{record.actions_b}|"
                                    f"{_format_payoff(record.payoff_a)}|{_format_payoff(record.payoff_b)}")
@@ -257,7 +263,7 @@ def write_history_dump(result: TournamentResult, destination) -> int:
     return text.count("\n")
 
 
-def read_history_dump(path) -> dict:
+def read_history_dump(path, player=None) -> dict:
     """Parse a history dump back into the histories mapping shape.
 
     Refuses, naming the file and line, what render_history_dump never
@@ -273,17 +279,21 @@ def read_history_dump(path) -> dict:
     any other.  If a check fails, or the text does not end in a line end,
     its lines are walked one by one instead, so a refusal names the first
     bad line and the first rule it breaks.  Both ways read a good file alike.
+
+    With a player, every line is still checked, but only the matches that
+    name the player are returned, in file order (a self-match once).
     """
     text = read_text(path)
-    histories = _dump_columns(text)
-    if histories is None:
-        return _read_dump_lines(path, text.split("\n"))
+    histories = _dump_columns(text, player)
+    if histories is None:  # the line walk, its result filtered the same way
+        histories = {key: record for key, record in _read_dump_lines(path, text.split("\n")).items()
+                     if player is None or player in key[:2]}
     return histories
 
 
-def _dump_columns(text):
-    """The histories mapping of a dump's text, or None if the text does not
-    end in a line end or a line breaks a rule of read_history_dump."""
+def _dump_columns(text, player=None):
+    """The histories mapping of a dump's text (its lines that name player, if given),
+    or None if the text does not end in a line end or a line breaks a rule of read_history_dump."""
     fields = text.split("|")
     # Each of fields[6::6] is one line's last field, its '\n' and the next
     # line's first field.  Every line holds 6 '|' exactly when each of these
@@ -310,11 +320,14 @@ def _dump_columns(text):
         repetitions = list(map({rep: int(rep) for rep in set(reps)}.__getitem__, reps))
     except ValueError:
         return None
-    if not (all(map(math.isfinite, payoffs_a)) and all(map(math.isfinite, payoffs_b))):
+    if not (all(map(math.isfinite, payoffs_a)) and all(map(math.isfinite, payoffs_b))
+            and len(set(zip(names_a, names_b, repetitions))) == len(joints)):  # no match named twice
         return None
-    histories = dict(zip(zip(names_a, names_b, repetitions),
-                         map(_new_record, zip(acts_a, acts_b, payoffs_a, payoffs_b))))
-    return histories if len(histories) == len(joints) else None
+    columns = names_a, names_b, repetitions, acts_a, acts_b, payoffs_a, payoffs_b
+    if player is not None:  # every line is checked, but only the player's become records
+        rows = [i for i, a, b in zip(count(), names_a, names_b) if a == player or b == player]
+        columns = [list(map(column.__getitem__, rows)) for column in columns]
+    return dict(zip(zip(*columns[:3]), map(_new_record, zip(*columns[3:]))))
 
 
 def _read_dump_lines(path, lines) -> dict:

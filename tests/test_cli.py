@@ -818,3 +818,45 @@ def test_prune_and_equiv_load_neither_numpy_nor_the_kernel(tmp_path, capsys, fre
         json.dumps(runs))
     assert out == expected + "['ipdlab', 'ipdlab.cli', 'ipdlab.fsm']\n"
     assert (tmp_path / "pruned.fsm").read_text(encoding="utf-8") == _golden_text("EvolvedFSM6")
+
+
+def test_a_pipe_in_a_name_is_refused_before_the_header_and_any_match(tmp_path, monkeypatch,
+                                                                    capsys):
+    # a machine name may hold '|', which would split its history dump lines
+    monkeypatch.chdir(tmp_path)
+    _write_fsm(tmp_path, "pipe", _golden_text("EvolvedFSM6").replace("EvolvedFSM6", "A|B", 1))
+
+    def no_match(*args, **kwargs):
+        raise AssertionError("a match was played")
+
+    monkeypatch.setattr(ipdlab.kernels, "play_batch", no_match)
+    assert main(["tournament", "--roster", "TitForTat,@pipe.fsm", "--histories", "h.txt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: strategy names in a history dump cannot contain '|'\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["pipe.fsm"]
+
+
+def test_a_history_dump_of_a_pipe_in_a_name_is_refused_to_a_library_caller(tmp_path):
+    spec = ipdlab.load_fsm_file(_write_fsm(
+        tmp_path, "pipe", _golden_text("EvolvedFSM6").replace("EvolvedFSM6", "A|B", 1)))
+    result = ipdlab.run_tournament(ipdlab.TournamentConfig(roster=("TitForTat", "A|B"), turns=3),
+                                   ipdlab.default_registry().with_fsm(spec))
+    with pytest.raises(ValueError, match=r"^strategy names in a history dump cannot contain '\|'$"):
+        ipdlab.write_history_dump(result, tmp_path / "h.txt")
+    assert not (tmp_path / "h.txt").exists()
+
+
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_equiv_refuses_a_horizon_below_one_before_its_header(capsys, horizon):
+    e8 = TestOutputFailures.E8
+    assert main(["equiv", "--a", e8, "--b", e8, "--horizon", horizon]) == 2
+    assert capsys.readouterr() == ("", f"error: horizon must be positive or None, got {horizon}\n")
+
+
+def test_equiv_names_a_missing_file_before_a_bad_horizon(tmp_path, capsys):
+    missing = str(tmp_path / "missing.fsm")
+    assert main(["equiv", "--a", TestOutputFailures.E8, "--b", missing, "--horizon", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and missing in err and "horizon" not in err

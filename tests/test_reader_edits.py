@@ -206,3 +206,68 @@ def test_an_edited_fsm_file_reads_or_names_its_line(tmp_path, edit):
     if error is not None:
         assert str(error).startswith(f"{path}: ")
         assert _names_its_line(path, error), str(error)
+
+
+# A self-match dump in the line ends of DUMPS: as written, without its last line
+# end, with blank lines and with '\r' ends, so the line walk's filter runs too.
+SELF_DUMP = render_history_dump(run_tournament(TournamentConfig(
+    roster=("Random", "TitForTat", "Defector"), turns=4, repetitions=2, noise=0.1, master_seed=5,
+    include_self_matches=True))).encode()
+SELF_DUMPS = (SELF_DUMP, SELF_DUMP[:-1], b"\n" + SELF_DUMP.replace(b"\n", b"\n\n", 2),
+              SELF_DUMP.replace(b"\n", b"\r"))
+
+
+def _assert_a_player_reads_the_full_read_filtered(tmp_path, data):
+    path = tmp_path / "edited"
+    path.write_bytes(data)
+    full = _outcome(read_history_dump, path)
+    names = {field.decode(errors="replace") for line in re.split(b"[\r\n]", data)
+             for field in line.split(b"|")[:2]}
+    for player in sorted(names | {"Absent"}):
+        read = _outcome(lambda path: read_history_dump(path, player), path)
+        if isinstance(full, str):  # the very refusal of the full read
+            assert read == full
+        else:
+            assert read == [(key, record) for key, record in full if player in key[:2]]
+            assert all(type(record) is MatchRecord for _, record in read)
+
+
+@pytest.mark.parametrize("dump", SELF_DUMPS, ids=["written", "no_last_end", "blank", "cr"])
+def test_a_player_reads_its_self_match_once_on_either_path(tmp_path, dump):
+    # only the dump as written takes the column path; the others take the line walk
+    assert (_dump_columns(dump.decode(), "Random") is None) == (dump != SELF_DUMP)
+    _assert_a_player_reads_the_full_read_filtered(tmp_path, dump)
+    path = tmp_path / "edited"
+    assert [key for key in read_history_dump(path, "Random") if key[0] == key[1]] == [
+        ("Random", "Random", 0), ("Random", "Random", 1)]
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dump=st.sampled_from(DUMPS + SELF_DUMPS), edit=EDITS)
+def test_a_player_reads_an_edited_dump_as_the_full_read_filtered(tmp_path, dump, edit):
+    _assert_a_player_reads_the_full_read_filtered(tmp_path, _edit(dump, *edit)[0])
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dump=st.sampled_from(DUMPS + SELF_DUMPS),
+       edits=st.lists(st.one_of(EDITS, MOVES), min_size=1, max_size=4))
+def test_a_player_reads_a_dump_with_stacked_edits_as_the_full_read_filtered(
+        tmp_path, dump, edits):
+    for edit in edits:
+        dump = _move(dump, *edit[1:]) if edit[0] == "move" else _edit(dump, *edit)[0]
+    _assert_a_player_reads_the_full_read_filtered(tmp_path, dump)
+
+
+@pytest.mark.parametrize("data", [
+    b"A|B|0|C|C|3|3\nC|D|0|C|C|3|3\nC|D|0|D|D|1|1\n",  # other players' match named twice
+    b"A|B|0|C|C|3|3\nC|D|1|C|C|3|3\nC|D|01|D|D|1|1\n",  # the same, through a leading zero
+    b"C|D|0|C|C|3|3\nA|B|0|C|C|3|3\nA|B|0|D|D|1|1\n",  # the player's match named twice
+    b"A|B|0|C|C|3|3\nC|D|0|C|X|3|3\n",  # a bad letter in other players' line
+    b"A|B|0|C|C|3|3\nC|D|0|C|C|3|inf\n",  # a bad payoff in other players' line
+], ids=["duplicate", "leading_zero", "own_duplicate", "letter", "payoff"])
+def test_a_player_is_refused_a_fault_in_any_line(tmp_path, data):
+    path = tmp_path / "edited"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line [23]: "):
+        read_history_dump(path, "A")
+    _assert_a_player_reads_the_full_read_filtered(tmp_path, data)
