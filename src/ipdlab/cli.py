@@ -403,11 +403,19 @@ def _cmd_trace(args) -> int:
 def _cmd_rates(args) -> int:
     from .tournament import CONTEXTS, cooperation_rates, read_history_dump
 
-    histories = read_history_dump(args.in_path, args.player)
-    report = cooperation_rates(histories, args.player)
+    player = args.player
+    histories = read_history_dump(args.in_path, player)
+    if not histories:
+        # no line names the player: take the one name equal to it ignoring case, if any
+        folded = {name for key in read_history_dump(args.in_path) for name in key[:2]
+                  if name.lower() == player.lower()}
+        if len(folded) == 1:
+            (player,) = folded
+            histories = read_history_dump(args.in_path, player)
+    report = cooperation_rates(histories, player)
     _print_header("rates", [
         ("in", args.in_path),
-        ("player", args.player),
+        ("player", player),
         ("matches", len(histories)),
     ])
     print("context count rate")

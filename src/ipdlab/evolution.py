@@ -29,7 +29,7 @@ import numpy as np
 from . import kernels
 from .fsm import (_BOTH_ACTIONS, Action, FsmSpec, parse_fsm_line, read_text, serialize_fsm_line,
                   validate_fsm)
-from .game import score_actions
+from .game import _check_distinct, _check_settings, score_actions
 from .rng import GOLDEN, MASK64, SplitMix64, derive_seed, derive_seeds
 from .strategies import default_registry, roster_default
 
@@ -61,23 +61,14 @@ class EvolutionParams:
             )
         if not (0.0 <= self.mutation_rate <= 1.0):
             raise ValueError(f"mutation_rate must lie in [0, 1], got {self.mutation_rate}")
-        if self.turns < 1:
-            raise ValueError(f"turns must be positive, got {self.turns}")
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be positive, got {self.repetitions}")
-        if not (0.0 <= self.noise <= 1.0):
-            raise ValueError(f"noise must lie in [0, 1], got {self.noise}")
+        _check_settings(self.turns, self.repetitions, self.noise)
         roster = self.opponent_roster
         if roster is None:
             roster = [sid.name for sid in roster_default()]
         object.__setattr__(self, "opponent_roster", tuple(roster))
         if not self.opponent_roster:
             raise ValueError("opponent_roster must not be empty")
-        # the registry looks names up case-insensitively
-        if len({name.lower() for name in self.opponent_roster}) != len(self.opponent_roster):
-            raise ValueError(
-                f"opponent_roster entries must be distinct, got {list(self.opponent_roster)}"
-            )
+        _check_distinct("opponent_roster", self.opponent_roster)
 
 
 @dataclass(frozen=True)

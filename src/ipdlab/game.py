@@ -81,6 +81,22 @@ class MatchConfig:
             raise ValueError(f"noise must lie in [0, 1], got {self.noise}")
 
 
+def _check_settings(turns, repetitions, noise):
+    """The checks a tournament's and a search's settings share, in order."""
+    if turns < 1:
+        raise ValueError(f"turns must be positive, got {turns}")
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be positive, got {repetitions}")
+    if not (0.0 <= noise <= 1.0):
+        raise ValueError(f"noise must lie in [0, 1], got {noise}")
+
+
+def _check_distinct(label, names):
+    """Refuse a repeated name; the registry looks names up case-insensitively."""
+    if len({name.lower() for name in names}) != len(names):
+        raise ValueError(f"{label} entries must be distinct, got {list(names)}")
+
+
 class MatchRecord(NamedTuple):
     """Full transcript of one match: recorded actions as C/D text, one
     letter per turn (the history dump's form), and payoff totals.  It is an

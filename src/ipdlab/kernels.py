@@ -2,21 +2,23 @@
 
 Each strategy is flattened into a `Program`, a machine's move codes or
 a coin, and one numpy loop plays a whole batch of matches by the
-draw-order contract in `game.py`.  A match with seed s has three
-SplitMix64 streams (A, B and noise, tags 1, 2 and 3), each starting in
-state mix64((s + tag * GOLDEN) mod 2**64).  The kernel must agree bit
-for bit with the per-turn loop `tests/conftest.py::reference_play`.
+draw-order contract in `game.py`, bit for bit as the per-turn loop
+`tests/conftest.py::reference_play` does.  A match with seed s has
+three SplitMix64 streams, seat A's (tag 1), seat B's (tag 2) and the
+noise stream (tag 3), each starting in state mix64((s + tag * GOLDEN)
+mod 2**64).  Draw k of a stream in state s is mix64(s + k * GOLDEN), so
+no draw needs the ones before it.  A Random row's move on turn t is
+draw t + 1 of its seat's stream, D unless that double is below p, and
+the noise flips of turn t are noise-stream draws 2t + 1 (A) and 2t + 2
+(B), a flip when below the noise level; a machine draws nothing.
 
-Draw k of a stream in state s is mix64(s + k * GOLDEN), so no draw
-needs the ones before it.  A Random row's move on turn t is draw t + 1
-of its own stream, and the noise flips of turn t are noise-stream draws
-2t + 1 (A) and 2t + 2 (B); a machine draws nothing.  The kernel computes
-all of these for BLOCK_TURNS turns at a time, as one int8 block of bits
-per side, before it steps those turns.  The per-turn loop is then the
-table step alone: one gather per side from a flat table of the side's
-move codes, laid end to end, and an XOR with the block's bits.  A
-Random row steps cells that all name its own first cell and C, so its
-coin alone decides its move.
+Both seats play as one array: `_pack` lays the programs of A's rows and
+then B's end to end in one flat table of move codes.  The kernel draws
+BLOCK_TURNS turns at a time into one (turns, 2, matches) int8 block of
+bits to XOR into the stepped actions; each turn is then one XOR, one
+swap of the recorded moves and one gather of the (2, matches) entries
+from the table.  A Random row steps cells that all name its own first
+cell and C, so its coin alone decides its move.
 """
 
 from operator import itemgetter
@@ -38,9 +40,8 @@ _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
-_TAG1 = np.uint64((1 * GOLDEN) & MASK64)
-_TAG2 = np.uint64((2 * GOLDEN) & MASK64)
-_TAG3 = np.uint64((3 * GOLDEN) & MASK64)
+# the stream tags of A, B and noise: tag * GOLDEN mod 2**64
+_TAGS = np.array([(tag * GOLDEN) & MASK64 for tag in (1, 2, 3)], dtype=np.uint64)
 
 # Turns whose draws are computed as one block ahead of their steps.  The
 # blocks hold BLOCK_TURNS x matches draws, so they are bounded by this, not
@@ -97,7 +98,7 @@ def random_program(p: float) -> Program:
 
 
 def _pack(programs):
-    """One side's flat step table, and each row's entry for turn one, kind and p.
+    """The flat step table of programs, and each one's entry for turn one, kind and p.
 
     A batch repeats a few program objects over many rows, so each is
     encoded once: the distinct objects' codes lie end to end, and a
@@ -106,7 +107,8 @@ def _pack(programs):
     objects of equal content are encoded twice.  A Random program's
     cells and entry all hold base, whatever it holds: its stepped action
     is always 0, so its coin decides its move alone.  Table and entries
-    are int32 to keep the kernel's (BLOCK_TURNS, matches) key blocks small.
+    are int32 to keep the kernel's (BLOCK_TURNS, 2, matches) key blocks
+    small.
     """
     distinct = list(dict.fromkeys(programs))
     position = {prog: i for i, prog in enumerate(distinct)}
@@ -150,66 +152,43 @@ def _draws(state, first, count, step=1):
     return _mix_in_place(state + (k * _UG)[:, None])
 
 
-def _coins(kind, p, seeds, tag):
-    """One side's Random rows, their streams' states and their limits of p."""
-    rows = np.flatnonzero(kind == KIND_RANDOM)
-    return rows, _mix_in_place(seeds[rows] + tag), _limit(p[rows])
-
-
-def _bits(coins, noise_stream, t0, count, side):
-    """One side's (count, rows) int8 block of bits to XOR into its stepped
-    actions on turns t0 .. t0 + count - 1, or None when all are 0.
-
-    A Random row's move on turn t is its own stream's draw t + 1, D unless
-    that double is below p.  The noise flips of turn t are noise-stream
-    draws 2t + 1 (side 0, A) and 2t + 2 (side 1, B), a flip when below
-    the noise level.
-    """
-    rows, coin_state, coin_limit = coins
-    noise_state, noise_limit = noise_stream
-    bits = None
-    if noise_limit:
-        draws = _draws(noise_state, 2 * t0 + 1 + side, count, 2)
-        bits = ((draws >> _S11) < noise_limit).view(np.int8)
-    if rows.size:
-        draws = _draws(coin_state, t0 + 1, count)
-        if bits is None:
-            bits = np.zeros((count, noise_state.shape[0]), dtype=np.int8)
-        bits[:, rows] ^= ((draws >> _S11) >= coin_limit).view(np.int8)
-    return bits
-
-
-def _batch_numpy(side_a, side_b, turns, noise, seeds, out_a, out_b):
-    """Play the rows of two sides packed by _pack into out_a and out_b."""
+def _batch_numpy(packed, turns, noise, seeds, out):
+    """Play the matches packed by _pack, A's rows then B's, into out, a
+    (2, matches, turns) block: row i of each seat meets under seeds[i]."""
+    table, entry, kind, p = packed
     rows = seeds.shape[0]
-    table_a, entry_a, kind_a, p_a = side_a
-    table_b, entry_b, kind_b, p_b = side_b
-    coins_a = _coins(kind_a, p_a, seeds, _TAG1)
-    coins_b = _coins(kind_b, p_b, seeds, _TAG2)
-    noise_stream = (_mix_in_place(seeds + _TAG3), _limit(noise))
-    # key_a[k] is A's table key after turn t0 + k: its bit 0 is B's recorded move
-    key_a = np.empty((BLOCK_TURNS, rows), dtype=np.int32)
-    key_b = np.empty((BLOCK_TURNS, rows), dtype=np.int32)
+    entry = entry.reshape(2, rows)
+    # the Random rows of both seats, flattened seat-major as _pack gave them
+    coin = np.flatnonzero(kind == KIND_RANDOM)
+    coin_state = _mix_in_place(seeds[coin % rows] + _TAGS[coin // rows])
+    coin_limit = _limit(p[coin])
+    noise_state = _mix_in_place(seeds + _TAGS[2])
+    noise_limit = _limit(noise)
+    # key[k, seat] is the seat's table key after turn t0 + k: its bit 0 is
+    # the other seat's recorded move
+    key = np.empty((BLOCK_TURNS, 2, rows), dtype=np.int32)
     moved = np.empty(rows, dtype=np.int32)
 
     for t0 in range(0, turns, BLOCK_TURNS):
         count = min(BLOCK_TURNS, turns - t0)
-        bits_a = _bits(coins_a, noise_stream, t0, count, 0)
-        bits_b = _bits(coins_b, noise_stream, t0, count, 1)
+        bits = np.zeros((count, 2, rows), dtype=np.int8) if noise_limit or coin.size else None
+        if noise_limit:
+            for seat in (0, 1):
+                bits[:, seat] = (_draws(noise_state, 2 * t0 + 1 + seat, count, 2) >> _S11) < noise_limit
+        if coin.size:
+            draws = _draws(coin_state, t0 + 1, count)
+            bits.reshape(count, 2 * rows)[:, coin] ^= ((draws >> _S11) >= coin_limit).view(np.int8)
         for k in range(count):
-            if bits_a is not None:
-                entry_a ^= bits_a[k]
-            if bits_b is not None:
-                entry_b ^= bits_b[k]
-            # bit 0 of an entry is now its side's recorded move: swap them
-            np.bitwise_xor(entry_a, entry_b, out=moved)
+            if bits is not None:
+                entry ^= bits[k]
+            # bit 0 of an entry is now its seat's recorded move: swap them
+            np.bitwise_xor(entry[0], entry[1], out=moved)
             moved &= 1
-            np.bitwise_xor(entry_a, moved, out=key_a[k])
-            np.bitwise_xor(entry_b, moved, out=key_b[k])
-            entry_a = table_a.take(key_a[k], mode="clip")
-            entry_b = table_b.take(key_b[k], mode="clip")
-        np.bitwise_and(key_b[:count].T, 1, out=out_a[:, t0:t0 + count], casting="unsafe")
-        np.bitwise_and(key_a[:count].T, 1, out=out_b[:, t0:t0 + count], casting="unsafe")
+            np.bitwise_xor(entry, moved, out=key[k])
+            entry = table.take(key[k], mode="clip")
+        # A's moves are bit 0 of B's keys, and B's of A's
+        np.bitwise_and(key[:count, ::-1].transpose(1, 2, 0), 1, out=out[:, :, t0:t0 + count],
+                       casting="unsafe")
 
 
 # ── dispatch ─────────────────────────────────────────────────────────
@@ -228,12 +207,13 @@ def play_batch(progs_a, progs_b, turns, noise, seeds):
     seed_arr = (seeds.astype(np.uint64, copy=False) if isinstance(seeds, np.ndarray)
                 else np.array([seed & MASK64 for seed in seeds], dtype=np.uint64))
     count = seed_arr.shape[0]
-    out_a = np.zeros((count, turns), dtype=np.int8)
-    out_b = np.zeros((count, turns), dtype=np.int8)
-    if count == 0:
-        return out_a, out_b
-    _batch_numpy(_pack(progs_a), _pack(progs_b), turns, float(noise), seed_arr, out_a, out_b)
-    return out_a, out_b
+    out = np.zeros((2, count, turns), dtype=np.int8)
+    if count:
+        # play_pairs hands over object arrays, which join without a Python pass
+        progs = (np.concatenate((progs_a, progs_b)) if isinstance(progs_a, np.ndarray)
+                 else [*progs_a, *progs_b])
+        _batch_numpy(_pack(progs), turns, float(noise), seed_arr, out)
+    return out[0], out[1]
 
 
 def play_pairs(pairs, repetitions, turns, noise, seeds_of):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .fsm import read_text
-from .game import MatchRecord, _new_record, match_records
+from .game import MatchRecord, _check_distinct, _check_settings, _new_record, match_records
 from .rng import derive_seeds
 from .strategies import default_registry
 
@@ -45,17 +45,10 @@ class TournamentConfig:
     include_self_matches: bool = False
 
     def __post_init__(self):
-        if self.turns < 1:
-            raise ValueError(f"turns must be positive, got {self.turns}")
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be positive, got {self.repetitions}")
-        if not (0.0 <= self.noise <= 1.0):
-            raise ValueError(f"noise must lie in [0, 1], got {self.noise}")
+        _check_settings(self.turns, self.repetitions, self.noise)
         if len(self.roster) < 2:
             raise ValueError("a tournament needs at least two entrants")
-        # the registry looks names up case-insensitively
-        if len({name.lower() for name in self.roster}) != len(self.roster):
-            raise ValueError(f"roster entries must be distinct, got {list(self.roster)}")
+        _check_distinct("roster", self.roster)
 
 
 @dataclass(frozen=True)

@@ -220,3 +220,36 @@ def test_trace_output_is_pinned(tmp_path, capsys, seed):
         assert main(["trace", "--a", a, "--b", b, "--turns", "30", "--seed", seed]) == 0
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == TRACE_PINNED[seed]
+
+
+# The small roster at 40 turns (over one block of draws) with self-matches:
+# a self-match puts one Program object on both seats of a row, and
+# Random vs Random puts a coin on both seats.
+SELF_MATCH_PINNED = {
+    "0": {
+        "ranking.csv": "cca0689b99844e3074d266d570066078ad881935848dcbaf9999f20f14403f11",
+        "histories.txt": "ee332db171bf76557f89fc094e79ad9495be019e88a026a79c5557395b731c8a",
+        "coop.csv": "be795513bcb6cfdb7f934270b549e7cdcfb21ccfa27294df87e2b7645ec48b43",
+    },
+    "0.05": {
+        "ranking.csv": "f9144a6d29b60d1b525b4cc0f848273c1600c8044719c50d5899ac9a0cbd1c37",
+        "histories.txt": "f700c94a8d58c593c3fe286580e7d79de7441364521021f78886f437d925385c",
+        "coop.csv": "08ca537028e68c52b8461a10ad5cabdbeefbd510cb60daa9c26e48066af7a9fb",
+    },
+}
+
+
+@pytest.mark.parametrize("noise", sorted(SELF_MATCH_PINNED))
+def test_self_match_tournament_artifacts_are_pinned(tmp_path, capsys, noise):
+    paths = {name: tmp_path / name for name in SELF_MATCH_PINNED[noise]}
+    assert main([
+        "tournament", "--roster", ROSTER, "--self-matches", "--turns", "40", "--reps", "2",
+        "--noise", noise, "--seed", "0",
+        "--out", str(paths["ranking.csv"]),
+        "--histories", str(paths["histories.txt"]),
+        "--coop-report", str(paths["coop.csv"]),
+    ]) == 0
+    capsys.readouterr()
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in paths.items()}
+    assert digests == SELF_MATCH_PINNED[noise]

@@ -61,3 +61,27 @@ def test_a_traced_rates_call_builds_only_its_players_records(dumps, capsys):
     metrics = tracer.layer_metrics(ipdlab.kernels, 0)
     assert metrics["tournament.read_dump_lines"] == 140  # of the dump's 1050 matches
     assert metrics["tournament.coop_calls"] == 1
+
+
+def test_a_player_named_in_another_case_reads_as_the_dump_spells_it(dumps, capsys):
+    path = str(dumps["noise0"])
+    assert main(["rates", "--in", path, "--player", "TitForTat"]) == 0
+    exact = capsys.readouterr().out
+    assert main(["rates", "--in", path, "--player", "titfortat"]) == 0
+    assert capsys.readouterr().out == exact
+    assert "# player = TitForTat\n" in exact
+
+
+def test_a_case_folded_name_must_match_one_name_of_the_dump(tmp_path, capsys):
+    path = tmp_path / "two.txt"
+    path.write_text("TitForTat|titfortat|0|CC|CD|3|8\n"
+                    "titfortat|Defector|0|CD|DD|1|6\n")
+    assert main(["rates", "--in", str(path), "--player", "TITFORTAT"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "player 'TITFORTAT' appears in none of the given histories" in captured.err
+    assert main(["rates", "--in", str(path), "--player", "titfortat"]) == 0
+    out = capsys.readouterr().out
+    assert "# player = titfortat\n# matches = 2\n" in out
+    assert main(["rates", "--in", str(path), "--player", "DEFECTOR"]) == 0
+    assert "# player = Defector\n# matches = 1\n" in capsys.readouterr().out

@@ -54,6 +54,26 @@ def test_a_traced_default_run_counts_what_the_tracer_reads(tmp_path, monkeypatch
     assert {name: metrics[name] for name in names} == dict(zip(names, counts))
 
 
+@pytest.mark.parametrize("argv, matches, batches", [
+    (TOURNAMENT, 231, 1),
+    (EVOLVE, 3120, 4),
+], ids=["tournament", "evolve"])
+def test_a_traced_run_packs_both_seats_of_a_batch_at_once(tmp_path, monkeypatch, capsys,
+                                                          argv, matches, batches):
+    # kernels.packed_programs counts _pack's first argument: both seats' rows
+    monkeypatch.chdir(tmp_path)
+    tracer = runpy.run_path(str(TRACER))["Tracer"](ipdlab)
+    tracer.install()
+    try:
+        assert main(argv) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics(ipdlab.kernels, 0)
+    assert metrics["kernels.packed_programs"] == 2 * metrics["kernels.matches"] == 2 * matches
+    spans = [name for name, *_ in tracer.spans]
+    assert spans.count("kernels.pack") == spans.count("kernels.play_batch") == batches
+
+
 # The seed count the tracer read before match seeds moved to derive_seeds.
 @pytest.mark.parametrize("argv, calls, seeds", [
     (TOURNAMENT, 1, 140),  # the 14 pairs with Random, 10 repetitions each
