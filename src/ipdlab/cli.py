@@ -108,7 +108,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-_PARSER = None  # built on the first cli_main call; parse_args keeps no state in it
+_PARSER = None  # built on the first main call; parse_args keeps no state in it
 
 
 def _parser() -> _Parser:
@@ -211,8 +211,8 @@ def _fmt(value: float) -> str:
 
 def _cmd_tournament(args) -> int:
     from .kernels import active_backend
-    from .tournament import (CONTEXTS, TournamentConfig, _refuse_dump_names, cooperation_rates,
-                             render_history_dump, render_ranking_csv, run_tournament)
+    from .tournament import (TournamentConfig, cooperation_rates, render_history_dump,
+                             render_ranking_csv, run_tournament)
 
     _refuse_bad_outputs(("--out", args.out), ("--histories", args.histories),
                         ("--coop-report", args.coop_report))
@@ -225,8 +225,6 @@ def _cmd_tournament(args) -> int:
         master_seed=args.seed,
         include_self_matches=args.self_matches,
     )
-    if args.histories:
-        _refuse_dump_names(names)
     _print_header("tournament", [
         ("roster", ",".join(names)),
         ("turns", config.turns),
@@ -247,10 +245,8 @@ def _cmd_tournament(args) -> int:
         lines = ["Name,Context,Count,Rate"]
         for name in result.roster:
             report = cooperation_rates(result.histories, name)
-            for label in CONTEXTS:
-                stats = report.contexts.get(label)
-                if stats is not None:
-                    lines.append(f"{name},{label},{stats.count},{_fmt(stats.rate)}")
+            for label, stats in report.contexts.items():
+                lines.append(f"{name},{label},{stats.count},{_fmt(stats.rate)}")
         staged.append((args.coop_report, "\n".join(lines) + "\n"))
     _atomic_write_all(staged)
 
@@ -407,11 +403,11 @@ def _cmd_rates(args) -> int:
     histories = read_history_dump(args.in_path, player)
     if not histories:
         # no line names the player: take the one name equal to it ignoring case, if any
-        folded = {name for key in read_history_dump(args.in_path) for name in key[:2]
-                  if name.lower() == player.lower()}
+        everyone = read_history_dump(args.in_path)
+        folded = {name for key in everyone for name in key[:2] if name.lower() == player.lower()}
         if len(folded) == 1:
             (player,) = folded
-            histories = read_history_dump(args.in_path, player)
+            histories = {key: record for key, record in everyone.items() if player in key[:2]}
     report = cooperation_rates(histories, player)
     _print_header("rates", [
         ("in", args.in_path),
@@ -438,16 +434,18 @@ _COMMANDS = {
 }
 
 
-def cli_main(argv) -> int:
-    """Parse and run one command and return its exit code; never raises
-    for user-level problems."""
+def main(argv=None) -> int:
+    """Parse and run one command (sys.argv[1:] when argv is None) and
+    return its exit code; never raises for user-level problems."""
     parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         print(parser.format_usage().rstrip(), file=sys.stderr)
         return 1
+    except SystemExit as exc:  # argparse --help paths
+        return exc.code if isinstance(exc.code, int) else 0
 
     if args.command is None:
         print(parser.format_usage().rstrip(), file=sys.stderr)
@@ -458,13 +456,6 @@ def cli_main(argv) -> int:
     except (ValueError, OSError) as exc:  # UnknownStrategyError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv=None) -> int:
-    try:
-        return cli_main(sys.argv[1:] if argv is None else list(argv))
-    except SystemExit as exc:  # argparse --help paths
-        return exc.code if isinstance(exc.code, int) else 0
 
 
 def entry():

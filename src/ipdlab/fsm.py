@@ -90,10 +90,10 @@ class FsmValidationError(ValueError):
 
 
 def _name_fault(name) -> str:
-    """What is wrong with a machine name, or '' when it is one token
-    without ';' or ','."""
-    if not name or any(ch.isspace() for ch in name) or ";" in name or "," in name:
-        return f"name {name!r} must be a single token without ';' or ','"
+    """What is wrong with a machine name, or '' when it is one token without
+    ';' (log statements), ',' (rosters, CSVs), '|' (history dumps) or '#' (comments)."""
+    if not name or any(ch.isspace() or ch in ";,|#" for ch in name):
+        return f"name {name!r} must be a single token without ';', ',', '|' or '#'"
     return ""
 
 

@@ -150,8 +150,7 @@ class Registry:
     def get(self, name: str) -> RegisteredStrategy:
         entry = self._entries.get(name.lower())
         if entry is None:
-            known = ", ".join(sorted(e.id.name for e in self._entries.values()))
-            raise UnknownStrategyError(f"unknown strategy {name!r}; known: {known}")
+            raise UnknownStrategyError(f"unknown strategy {name!r}; known: {', '.join(self.names())}")
         return entry
 
     def names(self):

@@ -135,6 +135,10 @@ class TestExitCodes:
         assert main(["tournament", "--roster", "Cooperator,Nobody"]) == 2
         assert "Nobody" in capsys.readouterr().err
 
+    def test_a_roster_of_no_names_is_data_error(self, capsys):
+        assert main(["tournament", "--roster", " , "]) == 2
+        assert capsys.readouterr() == ("", "error: --roster ' , ' names no strategies\n")
+
     @pytest.mark.parametrize("command", [
         "prune --in {path} --out {path}.out",
         "rates --in {path} --player A",
@@ -258,13 +262,15 @@ class TestPruneCommand:
         src = _write_fsm(tmp_path, "t", "fsm g,c1\nstart 1 C\n1 C -> 1 C\n1 D -> 1 D\n")
         assert main(["prune", "--in", str(src), "--out", str(tmp_path / "o.fsm")]) == 2
         assert capsys.readouterr().err == (
-            f"error: {src}: line 1: name 'g,c1' must be a single token without ';' or ','\n")
+            f"error: {src}: line 1: name 'g,c1' must be a single token without ';', ',', '|' or '#'\n")
         assert not (tmp_path / "o.fsm").exists()
 
-    def test_bad_rename_is_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("name", ["two words", "Ev#6", "A|B"])
+    def test_bad_rename_is_data_error(self, tmp_path, capsys, name):
         src = _write_fsm(tmp_path, "t", serialize_fsm(CLASSIC_FSMS["TitForTat"]))
         assert main(["prune", "--in", str(src), "--out", str(tmp_path / "o.fsm"),
-                     "--name", "two words"]) == 2
+                     "--name", name]) == 2
+        assert not (tmp_path / "o.fsm").exists()
 
 
 class TestEquivCommand:
@@ -822,7 +828,7 @@ def test_prune_and_equiv_load_neither_numpy_nor_the_kernel(tmp_path, capsys, fre
 
 def test_a_pipe_in_a_name_is_refused_before_the_header_and_any_match(tmp_path, monkeypatch,
                                                                     capsys):
-    # a machine name may hold '|', which would split its history dump lines
+    # a '|' would split the name's history dump lines, so loading the file refuses it
     monkeypatch.chdir(tmp_path)
     _write_fsm(tmp_path, "pipe", _golden_text("EvolvedFSM6").replace("EvolvedFSM6", "A|B", 1))
 
@@ -833,15 +839,16 @@ def test_a_pipe_in_a_name_is_refused_before_the_header_and_any_match(tmp_path, m
     assert main(["tournament", "--roster", "TitForTat,@pipe.fsm", "--histories", "h.txt"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: strategy names in a history dump cannot contain '|'\n"
+    assert captured.err == ("error: pipe.fsm: line 1: name 'A|B' must be a single token "
+                            "without ';', ',', '|' or '#'\n")
     assert [path.name for path in tmp_path.iterdir()] == ["pipe.fsm"]
 
 
 def test_a_history_dump_of_a_pipe_in_a_name_is_refused_to_a_library_caller(tmp_path):
-    spec = ipdlab.load_fsm_file(_write_fsm(
-        tmp_path, "pipe", _golden_text("EvolvedFSM6").replace("EvolvedFSM6", "A|B", 1)))
-    result = ipdlab.run_tournament(ipdlab.TournamentConfig(roster=("TitForTat", "A|B"), turns=3),
-                                   ipdlab.default_registry().with_fsm(spec))
+    # no machine can be named 'A|B', but a result built by hand can hold the name
+    histories = {("TitForTat", "A|B", 0): ipdlab.MatchRecord("CCC", "CCC", 9.0, 9.0)}
+    result = ipdlab.TournamentResult(config=None, roster=None, scores=None, histories=histories,
+                                     ranking=None)
     with pytest.raises(ValueError, match=r"^strategy names in a history dump cannot contain '\|'$"):
         ipdlab.write_history_dump(result, tmp_path / "h.txt")
     assert not (tmp_path / "h.txt").exists()

@@ -26,6 +26,7 @@ from ipdlab import (
 from conftest import build_fsm, fsm_specs
 
 TFT_TEXT = "fsm TitForTat\nstart 1 C\n1 C -> 1 C\n1 D -> 1 D\n"
+ONE_STATE = build_fsm("x", 1, "C", {1: ((1, "C"), (1, "C"))})
 
 
 class TestValidate:
@@ -56,6 +57,21 @@ class TestValidate:
     def test_name_with_whitespace_reported(self):
         spec = build_fsm("a b", 1, "C", {1: ((1, "C"), (1, "C"))})
         assert any("name" in v for v in validate_fsm(spec))
+
+    @pytest.mark.parametrize("change, violation", [
+        ({"states": (0,)}, "state id 0 is not a positive integer"),
+        ({"states": (True,)}, "state id True is not a positive integer"),
+        ({"states": ("1",)}, "state id '1' is not a positive integer"),
+        ({"initial_action": 2}, "initial action 2 is not C or D"),
+        ({"transitions": {**ONE_STATE.transitions, (5, Action.C): (1, Action.C)}},
+         "transition from unknown state 5/C"),
+        ({"transitions": {**ONE_STATE.transitions, (1, Action.C): (1, 2)}},
+         "own action 2 on 1/C is not C or D"),
+    ], ids=["state_zero", "state_true", "state_text", "initial_action", "unknown_state",
+            "own_action"])
+    def test_a_hand_built_fault_is_reported_first(self, change, violation):
+        # parse_fsm cannot build any of these machines
+        assert validate_fsm(replace(ONE_STATE, **change))[0] == violation
 
 
 class TestStep:
@@ -236,6 +252,16 @@ class TestParse:
         with pytest.raises(FsmParseError, match="no 'start' line"):
             parse_fsm("fsm x\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("fsm x\nstart 1\n", "line 2: 'start' takes a state id and an action"),
+        ("", "line 1: no 'fsm <name>' line found"),
+        ("# a note only\n\n", "line 1: no 'fsm <name>' line found"),
+    ], ids=["short_start", "empty", "comment_only"])
+    def test_a_parse_error_names_its_line(self, text, message):
+        with pytest.raises(FsmParseError) as err:
+            parse_fsm(text)
+        assert str(err.value) == message
+
     def test_bad_state_id_carries_line_number(self):
         with pytest.raises(FsmParseError) as err:
             parse_fsm("fsm x\nstart one C\n")
@@ -303,11 +329,12 @@ class TestParse:
         with pytest.raises(FsmParseError, match=r"^line 4: "):
             parse_fsm("fsm x\r\nstart 1 C\r1 C -> 1 C\n1 D->1 D\n")
 
-    @pytest.mark.parametrize("name", ["g,c1", "a;b"])
+    @pytest.mark.parametrize("name", ["g,c1", "a;b", "a|b"])
     def test_bad_name_is_refused_at_its_line(self, name):
         with pytest.raises(FsmParseError) as err:
             parse_fsm(f"# machine\nfsm {name}\nstart 1 C\n1 C -> 1 C\n1 D -> 1 D\n")
-        assert str(err.value) == f"line 2: name {name!r} must be a single token without ';' or ','"
+        assert str(err.value) == (f"line 2: name {name!r} must be a single token "
+                                  "without ';', ',', '|' or '#'")
 
     @given(spec=fsm_specs(max_states=6))
     @settings(max_examples=60)

@@ -1,5 +1,6 @@
 """Single-byte edits to the files the package reads back: history dumps,
-generation logs and FSM files, and stacked edits to history dumps.
+generation logs and FSM files, and stacked edits to history dumps.  Any
+machine name the name rule accepts reads back unchanged from each of them.
 
 An edited file either reads or is refused with a ValueError whose message
 starts with the file's path and the line at fault.  The history dump's
@@ -7,6 +8,7 @@ column check must read every edited dump as its line walk does.
 """
 
 import re
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -17,6 +19,7 @@ from ipdlab import (
     EvolutionParams,
     MatchRecord,
     TournamentConfig,
+    TournamentResult,
     evolve,
     load_fsm_file,
     read_generation_log,
@@ -25,7 +28,8 @@ from ipdlab import (
     run_tournament,
 )
 from ipdlab.evolution import render_generation_line
-from ipdlab.fsm import read_text
+from ipdlab.fsm import (_name_fault, parse_fsm, parse_fsm_line, read_text, serialize_fsm,
+                        serialize_fsm_line)
 from ipdlab.tournament import _dump_columns, _read_dump_lines, render_history_dump
 
 RESULT = run_tournament(TournamentConfig(
@@ -271,3 +275,17 @@ def test_a_player_is_refused_a_fault_in_any_line(tmp_path, data):
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line [23]: "):
         read_history_dump(path, "A")
     _assert_a_player_reads_the_full_read_filtered(tmp_path, data)
+
+
+@_FIXTURE
+@given(name=st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=6)
+       .filter(lambda name: not _name_fault(name)))
+def test_a_name_the_rule_accepts_reads_back_unchanged(tmp_path, name):
+    spec = replace(parse_fsm(FSM.decode()), name=name)
+    assert parse_fsm(serialize_fsm(spec)) == spec
+    assert parse_fsm_line(serialize_fsm_line(spec)) == spec
+    histories = {(name, "TitForTat", 0): MatchRecord("CD", "DC", 5.0, 0.0)}
+    path = tmp_path / "dump"
+    path.write_text(render_history_dump(TournamentResult(None, None, None, histories, None)),
+                    encoding="utf-8", newline="")
+    assert read_history_dump(path) == histories

@@ -1,11 +1,12 @@
-"""Seed derivation: the batch form is derive_seed, seed for seed."""
+"""Seed derivation: the batch form is derive_seed, seed for seed.  And the
+stream refuses an empty range."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipdlab.rng import derive_seed, derive_seeds
+from ipdlab.rng import SplitMix64, derive_seed, derive_seeds
 
 # ints below zero and of 64 bits or more, and text that is not ASCII or
 # holds the separator itself
@@ -44,3 +45,8 @@ def test_an_empty_prefix_or_tail_is_refused(prefixes, tails):
     # hashes "1", and prefix (1,) with tail () would hash "1\x1f"
     with pytest.raises(ValueError, match="empty prefix or tail"):
         derive_seeds(prefixes, tails)
+
+
+def test_randrange_refuses_an_empty_range():
+    with pytest.raises(ValueError, match="^randrange needs a positive bound$"):
+        SplitMix64(1).randrange(0)
