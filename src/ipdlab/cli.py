@@ -32,6 +32,8 @@ import contextlib
 import math
 import os
 import sys
+from argparse import SUPPRESS
+from dataclasses import fields, replace
 
 
 class _UsageError(Exception):
@@ -53,27 +55,28 @@ def build_parser() -> _Parser:
     t = sub.add_parser("tournament", help="play a round robin and rank by median score")
     t.add_argument("--roster", default="default",
                    help="comma-separated names, 'default', or @file.fsm entries")
-    t.add_argument("--turns", type=int, default=200)
-    t.add_argument("--reps", type=int, default=10)
-    t.add_argument("--noise", type=float, default=0.0)
-    t.add_argument("--seed", type=int, default=0)
+    # a settings flag left out is absent from args, so its config class's default holds
+    t.add_argument("--turns", type=int, default=SUPPRESS)
+    t.add_argument("--reps", dest="repetitions", metavar="REPS", type=int, default=SUPPRESS)
+    t.add_argument("--noise", type=float, default=SUPPRESS)
+    t.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, default=SUPPRESS)
     t.add_argument("--out", help="ranking CSV destination (stdout when omitted)")
     t.add_argument("--coop-report", help="per-player cooperation-rate CSV destination")
     t.add_argument("--histories", help="full match-history dump destination")
-    t.add_argument("--self-matches", action="store_true",
-                   help="also play each entrant against itself")
+    t.add_argument("--self-matches", dest="include_self_matches", action="store_true",
+                   default=SUPPRESS, help="also play each entrant against itself")
 
     e = sub.add_parser("evolve", help="evolve FSM genomes against a fixed roster")
     e.add_argument("--generations", type=int, required=True)
-    e.add_argument("--num-states", type=int, default=10)
-    e.add_argument("--population-size", type=int, default=40)
-    e.add_argument("--bottleneck", type=int, default=10)
-    e.add_argument("--mutation-rate", type=float, default=0.1)
-    e.add_argument("--turns", type=int, default=20)
-    e.add_argument("--repetitions", type=int, default=10)
-    e.add_argument("--noise", type=float, default=0.0)
+    e.add_argument("--num-states", type=int, default=SUPPRESS)
+    e.add_argument("--population-size", type=int, default=SUPPRESS)
+    e.add_argument("--bottleneck", type=int, default=SUPPRESS)
+    e.add_argument("--mutation-rate", type=float, default=SUPPRESS)
+    e.add_argument("--turns", type=int, default=SUPPRESS)
+    e.add_argument("--repetitions", type=int, default=SUPPRESS)
+    e.add_argument("--noise", type=float, default=SUPPRESS)
     e.add_argument("--roster", default="default")
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=int, default=SUPPRESS)
     e.add_argument("--seed-fsm", action="append", default=[],
                    help="FSM file to seed the population with (repeatable)")
     e.add_argument("--log", help="generation log destination, streamed per generation")
@@ -99,7 +102,7 @@ def build_parser() -> _Parser:
                    help="strategy name, or @file.fsm")
     r.add_argument("--b", dest="b_name", required=True)
     r.add_argument("--turns", type=int, default=20)
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--seed", type=int, default=SUPPRESS)
 
     c = sub.add_parser("rates", help="cooperation rates by memory-one context")
     c.add_argument("--in", dest="in_path", required=True, help="history dump file")
@@ -202,6 +205,14 @@ def _resolve_player(token: str):
     return default_registry().get(token)
 
 
+def _config(config_class, args, **resolved):
+    """config_class from the settings flags given, then the values the CLI resolved;
+    a flag left out takes the default that config_class declares."""
+    given = {field.name: getattr(args, field.name) for field in fields(config_class)
+             if hasattr(args, field.name)}
+    return config_class(**(given | resolved))
+
+
 def _fmt(value: float) -> str:
     return f"{value:.9f}"
 
@@ -217,14 +228,7 @@ def _cmd_tournament(args) -> int:
     _refuse_bad_outputs(("--out", args.out), ("--histories", args.histories),
                         ("--coop-report", args.coop_report))
     reg, names = _resolve_roster(args.roster)
-    config = TournamentConfig(
-        roster=tuple(names),
-        turns=args.turns,
-        repetitions=args.reps,
-        noise=args.noise,
-        master_seed=args.seed,
-        include_self_matches=args.self_matches,
-    )
+    config = _config(TournamentConfig, args, roster=tuple(names))
     _print_header("tournament", [
         ("roster", ",".join(names)),
         ("turns", config.turns),
@@ -258,8 +262,8 @@ def _cmd_tournament(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    from .evolution import (EvolutionParams, LogStream, evolve, generation_deltas,
-                            render_generation_line, resume_log)
+    from .evolution import (EvolutionParams, LogStream, _seed_population, evolve,
+                            generation_deltas, render_generation_line, resume_log)
     from .fsm import load_fsm_file, serialize_fsm, serialize_fsm_line
     from .kernels import active_backend
 
@@ -267,22 +271,12 @@ def _cmd_evolve(args) -> int:
     if args.jump_threshold is not None and math.isnan(args.jump_threshold):
         raise ValueError(f"--jump-threshold must be a number, got {args.jump_threshold}")
     reg, roster_names = _resolve_roster(args.roster)
-    params = EvolutionParams(
-        generations=args.generations,
-        num_states=args.num_states,
-        population_size=args.population_size,
-        bottleneck=args.bottleneck,
-        mutation_rate=args.mutation_rate,
-        turns=args.turns,
-        repetitions=args.repetitions,
-        noise=args.noise,
-        opponent_roster=tuple(roster_names),
-        seed=args.seed,
-    )
+    params = _config(EvolutionParams, args, opponent_roster=tuple(roster_names))
     seeds = [load_fsm_file(path) for path in args.seed_fsm]
 
     if args.resume and not args.log:
         raise ValueError("--resume needs --log to know where the old run lives")
+    _seed_population(seeds, params)  # refuses unusable seeds before the log is read
     log_stream = None
     if args.resume and os.path.exists(args.log):
         log_stream = resume_log(args.log)
@@ -295,7 +289,7 @@ def _cmd_evolve(args) -> int:
         log_stream = LogStream(args.log)
 
     _print_header("evolve", [
-        ("generations", args.generations),
+        ("generations", params.generations),
         ("num_states", params.num_states),
         ("population_size", params.population_size),
         ("bottleneck", params.bottleneck),
@@ -332,8 +326,6 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_prune(args) -> int:
-    from dataclasses import replace
-
     from .fsm import (FsmValidationError, load_fsm_file, prune_unreachable, reachable_states,
                       serialize_fsm, validate_fsm)
 
@@ -377,7 +369,7 @@ def _cmd_trace(args) -> int:
 
     player_a = _resolve_player(args.a_name)
     player_b = _resolve_player(args.b_name)
-    config = MatchConfig(turns=args.turns, noise=0.0, seed=args.seed)
+    config = _config(MatchConfig, args)
     _print_header("trace", [
         ("a", player_a.id.name),
         ("b", player_b.id.name),

@@ -251,6 +251,26 @@ def fitness(spec: FsmSpec, params: EvolutionParams, registry=None) -> float:
 # ── the search loop ──────────────────────────────────────────────────
 
 
+def _seed_population(seed_genomes, params: EvolutionParams) -> list:
+    """The seed genomes in the loop's form, each checked and padded to params.num_states;
+    ValueError if they cannot all enter generation 0."""
+    if len(seed_genomes) > params.population_size:
+        raise ValueError(
+            f"{len(seed_genomes)} seed genomes exceed population size "
+            f"{params.population_size}"
+        )
+    seeds = []
+    for i, genome in enumerate(seed_genomes):
+        violations = validate_fsm(genome)
+        if violations:
+            raise ValueError(
+                f"seed genome {genome.name!r} is invalid: " + "; ".join(violations)
+            )
+        pad_rng = SplitMix64(derive_seed(params.seed, "pad", i))
+        seeds.append(_from_spec(_pad_genome(genome, params.num_states, pad_rng)))
+    return seeds
+
+
 def evolve(seed_genomes, params: EvolutionParams, registry=None, log_stream=None):
     """Run the search; returns (best-ever genome, list of GenerationRecord).
 
@@ -259,21 +279,7 @@ def evolve(seed_genomes, params: EvolutionParams, registry=None, log_stream=None
     same arguments with resume_log(path) as log_stream resume that run.
     """
     reg = registry if registry is not None else default_registry()
-    if len(seed_genomes) > params.population_size:
-        raise ValueError(
-            f"{len(seed_genomes)} seed genomes exceed population size "
-            f"{params.population_size}"
-        )
-
-    population = []
-    for i, genome in enumerate(seed_genomes):
-        violations = validate_fsm(genome)
-        if violations:
-            raise ValueError(
-                f"seed genome {genome.name!r} is invalid: " + "; ".join(violations)
-            )
-        pad_rng = SplitMix64(derive_seed(params.seed, "pad", i))
-        population.append(_from_spec(_pad_genome(genome, params.num_states, pad_rng)))
+    population = _seed_population(seed_genomes, params)
     for i in range(len(population), params.population_size):
         init_rng = SplitMix64(derive_seed(params.seed, "init", i))
         population.append(_random(params.num_states, init_rng, name=f"rand{i}"))

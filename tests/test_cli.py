@@ -867,3 +867,46 @@ def test_equiv_names_a_missing_file_before_a_bad_horizon(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and missing in err and "horizon" not in err
+
+
+BIG = "fsm Big\nstart 1 C\n1 C -> 2 C\n1 D -> 3 D\n2 C -> 1 C\n2 D -> 3 D\n3 C -> 1 D\n3 D -> 2 D\n"
+
+
+@pytest.mark.parametrize("copies, flags, error", [
+    (1, ["--num-states", "2"], "seed genome 'Big' has 3 states, more than num_states = 2"),
+    (2, ["--population-size", "1", "--bottleneck", "1"], "2 seed genomes exceed population size 1"),
+], ids=["too_many_states", "too_many_seeds"])
+def test_evolve_refuses_unusable_seeds_before_its_header(tmp_path, capsys, copies, flags, error):
+    seed = _write_fsm(tmp_path, "big", BIG)
+    log = tmp_path / "gen.log"
+    args = ["evolve", "--generations", "1", *flags, "--log", str(log)]
+    assert main(args + ["--seed-fsm", str(seed)] * copies) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not log.exists()
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["tournament"], {"command", "roster", "out", "coop_report", "histories"}),
+    (["evolve", "--generations", "1"],
+     {"command", "generations", "roster", "seed_fsm", "log", "out", "resume", "jump_threshold"}),
+    (["trace", "--a", "X", "--b", "Y"], {"command", "a_name", "b_name", "turns"}),
+], ids=["tournament", "evolve", "trace"])
+def test_a_settings_flag_left_out_is_absent_from_the_namespace(argv, keys):
+    # so the config class's own default holds, not a copy of it in the parser
+    assert set(vars(cli.build_parser().parse_args(argv))) == keys
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    ([], 1, "{usage}"),
+    (["tournament", "--turns", "x"], 1,
+     "ipdlab tournament: argument --turns: invalid int value: 'x'\n{usage}"),
+    (["tournament", "--turns", "0"], 2, "error: turns must be positive, got 0\n"),
+], ids=["no_command", "bad_int", "bad_setting"])
+def test_the_module_exits_with_the_code_main_returns(argv, code, err):
+    package_root = os.path.dirname(os.path.dirname(ipdlab.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "ipdlab.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr == err.format(usage=cli.build_parser().format_usage())
