@@ -155,11 +155,13 @@ def _atomic_write_all(staged):
 
 
 def _refuse_bad_outputs(*outputs):
-    """Refuse, before any work, (flag, path) outputs of one command that
-    name the same file, name a directory, or lie in no existing directory."""
+    """Refuse, before any work, (flag, path) outputs of one command that are
+    empty, name the same file, name a directory, or lie in no existing directory."""
     seen = {}
     for flag, path in outputs:
-        if path:
+        if path == "":
+            raise ValueError(f"{flag} needs a file name, got ''")
+        if path is not None:
             parent = os.path.dirname(path) or "."
             if os.path.isdir(path):
                 raise ValueError(f"{flag} {path} is a directory")
@@ -333,7 +335,7 @@ def _cmd_prune(args) -> int:
     spec = load_fsm_file(args.in_path)
     report = reachable_states(spec)
     pruned = prune_unreachable(spec)
-    if args.name:
+    if args.name is not None:
         pruned = replace(pruned, name=args.name)
         violations = validate_fsm(pruned)
         if violations:

@@ -27,8 +27,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import kernels
-from .fsm import (_BOTH_ACTIONS, Action, FsmSpec, parse_fsm_line, read_text, serialize_fsm_line,
-                  validate_fsm)
+from .fsm import _BOTH_ACTIONS, FsmSpec, parse_fsm_line, read_text, serialize_fsm_line, validate_fsm
 from .game import _check_distinct, _check_settings, score_actions
 from .rng import GOLDEN, MASK64, SplitMix64, derive_seed, derive_seeds
 from .strategies import default_registry, roster_default
@@ -149,10 +148,27 @@ def _mutate_all(parents, rate: float, rngs, names) -> list:
     return list(map(_Genome, names, [parent.ids for parent in parents], codes, openings))
 
 
+def _random_cells(count: int, num_states: int, rng: SplitMix64) -> list:
+    """count random codes on num_states states; each draws a target index, then a move."""
+    return [2 * rng.randrange(num_states) + rng.randrange(2) for _ in range(count)]
+
+
 def _random(num_states: int, rng: SplitMix64, name: str) -> _Genome:
-    codes = [2 * rng.randrange(num_states) + rng.randrange(2) for _ in range(2 * num_states)]
-    opening = 2 * rng.randrange(num_states) + rng.randrange(2)
+    *codes, opening = _random_cells(2 * num_states + 1, num_states, rng)
     return _Genome(name, tuple(range(1, num_states + 1)), codes, opening)
+
+
+def _pad(genome: _Genome, num_states: int, rng: SplitMix64) -> _Genome:
+    """Grow a genome to num_states by adding fresh unreachable states after its last id."""
+    fresh = num_states - len(genome.ids)
+    if fresh < 0:
+        raise ValueError(
+            f"seed genome {genome.name!r} has {len(genome.ids)} states, more than "
+            f"num_states = {num_states}"
+        )
+    last = genome.ids[-1]
+    return genome._replace(ids=genome.ids + tuple(range(last + 1, last + 1 + fresh)),
+                           codes=genome.codes + _random_cells(2 * fresh, num_states, rng))
 
 
 def mutate_fsm(spec: FsmSpec, rate: float, rng: SplitMix64) -> FsmSpec:
@@ -173,27 +189,6 @@ def mutate_fsm(spec: FsmSpec, rate: float, rng: SplitMix64) -> FsmSpec:
 def random_genome(num_states: int, rng: SplitMix64, name: str) -> FsmSpec:
     """Uniformly random machine on state ids 1..num_states."""
     return _to_spec(_random(num_states, rng, name))
-
-
-def _pad_genome(spec: FsmSpec, num_states: int, rng: SplitMix64) -> FsmSpec:
-    """Grow a genome to num_states by adding fresh unreachable states."""
-    have = len(set(spec.states))
-    if have > num_states:
-        raise ValueError(
-            f"seed genome {spec.name!r} has {have} states, more than "
-            f"num_states = {num_states}"
-        )
-    if have == num_states:
-        return spec
-    fresh = list(range(max(spec.states) + 1, max(spec.states) + 1 + num_states - have))
-    states = tuple(spec.states) + tuple(fresh)
-    transitions = dict(spec.transitions)
-    for s in fresh:
-        for opp in _BOTH_ACTIONS:
-            target = states[rng.randrange(len(states))]
-            own = Action(rng.randrange(2))
-            transitions[(s, opp)] = (target, own)
-    return replace(spec, states=states, transitions=transitions)
 
 
 def genome_key(spec: FsmSpec) -> str:
@@ -252,22 +247,22 @@ def fitness(spec: FsmSpec, params: EvolutionParams, registry=None) -> float:
 
 
 def _seed_population(seed_genomes, params: EvolutionParams) -> list:
-    """The seed genomes in the loop's form, each checked and padded to params.num_states;
-    ValueError if they cannot all enter generation 0."""
+    """The seed genomes in the loop's form, each checked and padded to params.num_states
+    after its sorted state ids; ValueError if they cannot all enter generation 0."""
     if len(seed_genomes) > params.population_size:
         raise ValueError(
             f"{len(seed_genomes)} seed genomes exceed population size "
             f"{params.population_size}"
         )
     seeds = []
-    for i, genome in enumerate(seed_genomes):
-        violations = validate_fsm(genome)
+    for i, spec in enumerate(seed_genomes):
+        violations = validate_fsm(spec)
         if violations:
             raise ValueError(
-                f"seed genome {genome.name!r} is invalid: " + "; ".join(violations)
+                f"seed genome {spec.name!r} is invalid: " + "; ".join(violations)
             )
         pad_rng = SplitMix64(derive_seed(params.seed, "pad", i))
-        seeds.append(_from_spec(_pad_genome(genome, params.num_states, pad_rng)))
+        seeds.append(_pad(_from_spec(spec), params.num_states, pad_rng))
     return seeds
 
 

@@ -75,14 +75,11 @@ class MatchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.turns < 1:
-            raise ValueError(f"a match needs at least one turn, got {self.turns}")
-        if not (0.0 <= self.noise <= 1.0):
-            raise ValueError(f"noise must lie in [0, 1], got {self.noise}")
+        _check_settings(self.turns, 1, self.noise)  # a single match is one repetition
 
 
 def _check_settings(turns, repetitions, noise):
-    """The checks a tournament's and a search's settings share, in order."""
+    """The checks a match's, a tournament's and a search's settings share, in order."""
     if turns < 1:
         raise ValueError(f"turns must be positive, got {turns}")
     if repetitions < 1:

@@ -265,7 +265,7 @@ class TestPruneCommand:
             f"error: {src}: line 1: name 'g,c1' must be a single token without ';', ',', '|' or '#'\n")
         assert not (tmp_path / "o.fsm").exists()
 
-    @pytest.mark.parametrize("name", ["two words", "Ev#6", "A|B"])
+    @pytest.mark.parametrize("name", ["two words", "Ev#6", "A|B", ""])
     def test_bad_rename_is_data_error(self, tmp_path, capsys, name):
         src = _write_fsm(tmp_path, "t", serialize_fsm(CLASSIC_FSMS["TitForTat"]))
         assert main(["prune", "--in", str(src), "--out", str(tmp_path / "o.fsm"),
@@ -804,6 +804,20 @@ class TestOutputFailures:
         argv[argv.index("--out") + 1] = target
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: --out {target}: missing is not a directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        (TOURNAMENT, "--out"), (TOURNAMENT, "--histories"), (TOURNAMENT, "--coop-report"),
+        (EVOLVE, "--log"), (EVOLVE, "--out"), (PRUNE, "--out"),
+    ], ids=["tournament_out", "histories", "coop_report", "evolve_log", "evolve_out",
+            "prune_out"])
+    def test_an_empty_output_path_is_refused_before_the_header(self, tmp_path, monkeypatch,
+                                                               capsys, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        argv = [*argv]
+        argv[argv.index(flag) + 1] = ""
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} needs a file name, got ''\n")
         assert list(tmp_path.iterdir()) == []
 
 

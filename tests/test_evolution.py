@@ -30,7 +30,8 @@ from ipdlab.evolution import (
     _batch_fitness,
     _from_spec,
     _mutate_all,
-    _pad_genome,
+    _pad,
+    _seed_population,
     _to_spec,
     genome_key,
     render_generation_line,
@@ -74,6 +75,21 @@ def _reference_random_genome(num_states, rng, name):
             transitions[(s, opp)] = (target, _BOTH_ACTIONS[rng.randrange(2)])
     start = states[rng.randrange(num_states)]
     return FsmSpec(name, states, start, _BOTH_ACTIONS[rng.randrange(2)], transitions)
+
+
+def _reference_pad(spec, num_states, rng):
+    """Seed padding drawn on the FsmSpec dict: the oracle for its draw order on ascending states."""
+    have = len(set(spec.states))
+    if have == num_states:
+        return spec
+    fresh = tuple(range(max(spec.states) + 1, max(spec.states) + 1 + num_states - have))
+    states = tuple(spec.states) + fresh
+    transitions = dict(spec.transitions)
+    for s in fresh:
+        for opp in _BOTH_ACTIONS:
+            target = states[rng.randrange(len(states))]
+            transitions[(s, opp)] = (target, _BOTH_ACTIONS[rng.randrange(2)])
+    return replace(spec, states=states, transitions=transitions)
 
 
 @st.composite
@@ -213,7 +229,8 @@ class TestMutation:
     def test_one_batch_equals_the_reference_per_child(self, specs, rate, data):
         # Padded to one state count, the parents still carry different ids.
         n = max(len(spec.states) for spec in specs)
-        parents = [_pad_genome(spec, n, SplitMix64(i)) for i, spec in enumerate(specs)]
+        parents = [_to_spec(_pad(_from_spec(spec), n, SplitMix64(i)))
+                   for i, spec in enumerate(specs)]
         seeds = data.draw(st.lists(st.integers(0, 2**64 - 1),
                                    min_size=len(parents), max_size=len(parents)))
         rngs = [SplitMix64(seed) for seed in seeds]
@@ -249,10 +266,10 @@ class TestRandomGenome:
 
 class TestPadding:
     def test_exact_size_passes_through(self, e8):
-        assert _pad_genome(e8, 8, SplitMix64(0)) is e8
+        assert _pad(_from_spec(e8), 8, SplitMix64(0)) == _from_spec(e8)
 
     def test_padding_preserves_behavior(self, e6):
-        padded = _pad_genome(e6, 10, SplitMix64(5))
+        padded = _to_spec(_pad(_from_spec(e6), 10, SplitMix64(5)))
         assert len(padded.states) == 10
         assert validate_fsm(padded) == []
         assert behaviorally_equivalent(padded, e6)
@@ -261,7 +278,25 @@ class TestPadding:
 
     def test_oversized_genome_rejected(self, secondprac):
         with pytest.raises(ValueError, match="more than"):
-            _pad_genome(secondprac, 6, SplitMix64(0))
+            _pad(_from_spec(secondprac), 6, SplitMix64(0))
+
+    @given(spec=any_fsm_specs, extra=st.integers(0, 4), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_fsm_spec_reference(self, spec, extra, seed):
+        num_states = len(spec.states) + extra
+        rng, reference_rng = SplitMix64(seed), SplitMix64(seed)
+        padded = _to_spec(_pad(_from_spec(spec), num_states, rng))
+        assert padded == _reference_pad(spec, num_states, reference_rng)
+        assert rng.state == reference_rng.state  # the same number of draws
+
+    @given(spec=any_fsm_specs, data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_the_order_of_states_does_not_matter(self, spec, data):
+        shuffled = replace(spec, states=tuple(data.draw(st.permutations(spec.states))))
+        params = _params(generations=2, num_states=8, population_size=4, bottleneck=2,
+                         turns=5, repetitions=2)
+        assert _seed_population([shuffled], params) == _seed_population([spec], params)
+        assert evolve([shuffled], params) == evolve([spec], params)
 
 
 class TestGenomeKey:

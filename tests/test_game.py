@@ -86,7 +86,7 @@ class TestPayoffMatrix:
 
 class TestMatchConfig:
     def test_zero_turns_rejected(self):
-        with pytest.raises(ValueError, match="at least one turn"):
+        with pytest.raises(ValueError, match="turns must be positive"):
             MatchConfig(turns=0)
 
     def test_noise_out_of_range_rejected(self):

@@ -235,3 +235,13 @@ class TestGoldenChecksums:
         else:
             with pytest.raises(RuntimeError, match="failed its checksum"):
                 _load_golden("EvolvedFSM6")
+
+    def test_a_golden_file_must_declare_its_own_name(self, tmp_path, monkeypatch):
+        data = (resources.files("ipdlab") / "data" / "EvolvedFSM6.fsm").read_bytes()
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "Alias.fsm").write_bytes(data)
+        monkeypatch.setattr(strategies.resources, "files", lambda package: tmp_path)
+        monkeypatch.setitem(_GOLDEN_SHA256, "Alias", _GOLDEN_SHA256["EvolvedFSM6"])
+        with pytest.raises(RuntimeError) as raised:
+            _load_golden("Alias")
+        assert str(raised.value) == "golden file for Alias declares name 'EvolvedFSM6'"
