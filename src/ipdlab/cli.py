@@ -249,8 +249,12 @@ def _cmd_tournament(args) -> int:
         staged.append((args.histories, render_history_dump(result)))
     if args.coop_report:
         lines = ["Name,Context,Count,Rate"]
+        # each player's matches in file order, a self-match once
+        groups = {name: {} for name in result.roster}
+        for key, record in result.histories.items():
+            groups[key[0]][key] = groups[key[1]][key] = record
         for name in result.roster:
-            report = cooperation_rates(result.histories, name)
+            report = cooperation_rates(groups[name], name)
             for label, stats in report.contexts.items():
                 lines.append(f"{name},{label},{stats.count},{_fmt(stats.rate)}")
         staged.append((args.coop_report, "\n".join(lines) + "\n"))

@@ -14,14 +14,14 @@ the noise flips of turn t are noise-stream draws 2t + 1 (A) and 2t + 2
 
 Both seats play as one array: `_pack` lays the programs of A's rows and
 then B's end to end in one flat table of move codes.  The kernel draws
-BLOCK_TURNS turns at a time into one (turns, 2, matches) int8 block of
-bits to XOR into the stepped actions; each turn is then one XOR, one
+`_block_turns` turns at a time into one (turns, 2, matches) int8 block
+of bits to XOR into the stepped actions; each turn is then one XOR, one
 swap of the recorded moves and one gather of the (2, matches) entries
 from the table.  A Random row steps cells that all name its own first
 cell and C, so its coin alone decides its move.
 """
 
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -43,10 +43,11 @@ _S11 = np.uint64(11)
 # the stream tags of A, B and noise: tag * GOLDEN mod 2**64
 _TAGS = np.array([(tag * GOLDEN) & MASK64 for tag in (1, 2, 3)], dtype=np.uint64)
 
-# Turns whose draws are computed as one block ahead of their steps.  The
-# blocks hold BLOCK_TURNS x matches draws, so they are bounded by this, not
-# by the match length.
+# Turns whose draws are computed as one block ahead of their steps (_block_turns):
+# a block holds at most max(BLOCK_TURNS x matches, BLOCK_DRAWS) draws per seat, so
+# it is bounded by these, not by the match length.
 BLOCK_TURNS = 16
+BLOCK_DRAWS = 16 * 1024
 
 
 def active_backend() -> str:
@@ -107,7 +108,7 @@ def _pack(programs):
     objects of equal content are encoded twice.  A Random program's
     cells and entry all hold base, whatever it holds: its stepped action
     is always 0, so its coin decides its move alone.  Table and entries
-    are int32 to keep the kernel's (BLOCK_TURNS, 2, matches) key blocks
+    are int32 to keep the kernel's (block turns, 2, matches) key blocks
     small.
     """
     distinct = list(dict.fromkeys(programs))
@@ -152,6 +153,11 @@ def _draws(state, first, count, step=1):
     return _mix_in_place(state + (k * _UG)[:, None])
 
 
+def _block_turns(rows, turns):
+    """Turns per draw block: BLOCK_DRAWS // rows, at least BLOCK_TURNS, above that at most turns."""
+    return max(BLOCK_TURNS, min(turns, BLOCK_DRAWS // rows))
+
+
 def _batch_numpy(packed, turns, noise, seeds, out):
     """Play the matches packed by _pack, A's rows then B's, into out, a
     (2, matches, turns) block: row i of each seat meets under seeds[i]."""
@@ -162,15 +168,16 @@ def _batch_numpy(packed, turns, noise, seeds, out):
     coin = np.flatnonzero(kind == KIND_RANDOM)
     coin_state = _mix_in_place(seeds[coin % rows] + _TAGS[coin // rows])
     coin_limit = _limit(p[coin])
-    noise_state = _mix_in_place(seeds + _TAGS[2])
     noise_limit = _limit(noise)
+    noise_state = _mix_in_place(seeds + _TAGS[2]) if noise_limit else None
+    block = _block_turns(rows, turns)
     # key[k, seat] is the seat's table key after turn t0 + k: its bit 0 is
     # the other seat's recorded move
-    key = np.empty((BLOCK_TURNS, 2, rows), dtype=np.int32)
+    key = np.empty((block, 2, rows), dtype=np.int32)
     moved = np.empty(rows, dtype=np.int32)
 
-    for t0 in range(0, turns, BLOCK_TURNS):
-        count = min(BLOCK_TURNS, turns - t0)
+    for t0 in range(0, turns, block):
+        count = min(block, turns - t0)
         bits = np.zeros((count, 2, rows), dtype=np.int8) if noise_limit or coin.size else None
         if noise_limit:
             for seat in (0, 1):
@@ -229,8 +236,10 @@ def play_pairs(pairs, repetitions, turns, noise, seeds_of):
     gives them, and an int array of shape (len(pairs), repetitions)
     holding the row that plays each (pair, rep).
     """
-    shared = np.fromiter((a.kind == b.kind == KIND_FSM for a, b in pairs), bool, len(pairs))
-    shared &= noise == 0
+    # fromiter, unlike np.array, does not probe each Program for a sequence
+    columns = [np.fromiter(map(itemgetter(side), pairs), object, len(pairs)) for side in (0, 1)]
+    kind_a, kind_b = (np.fromiter(map(attrgetter("kind"), side), np.int8, len(pairs)) for side in columns)
+    shared = (kind_a == KIND_FSM) & (kind_b == KIND_FSM) & (noise == 0)
     played = np.where(shared, 1, repetitions)
     first_row = np.cumsum(played) - played
     index = first_row[:, None] + np.where(shared[:, None], 0, np.arange(repetitions))
@@ -238,10 +247,7 @@ def play_pairs(pairs, repetitions, turns, noise, seeds_of):
     unshared = np.flatnonzero(~shared)
     if unshared.size:
         seeds[index[unshared].ravel()] = seeds_of(unshared.tolist())
-    # fromiter, unlike np.array, does not probe each Program for a sequence
-    progs_a, progs_b = (np.repeat(np.fromiter(map(itemgetter(side), pairs), object, len(pairs)), played)
-                        for side in (0, 1))
-    acts_a, acts_b = play_batch(progs_a, progs_b, turns, noise, seeds)
+    acts_a, acts_b = play_batch(*(np.repeat(side, played) for side in columns), turns, noise, seeds)
     return acts_a, acts_b, index
 
 

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ipdlab
-from ipdlab import FsmSpec, default_registry, roster_default
+from ipdlab import FsmSpec, default_registry, kernels, roster_default
 from ipdlab.kernels import (
-    BLOCK_TURNS,
     KIND_RANDOM,
     Program,
+    _block_turns,
     _limit,
     _pack,
     active_backend,
@@ -231,26 +231,30 @@ def _side_program(side):
 
 
 class TestBlockEdges:
-    """Draws are made BLOCK_TURNS turns at a time; a match must not see where."""
+    """Draws are made a block of turns at a time; a match must not see where."""
 
     @pytest.mark.parametrize("coins_on", ["A", "B", "AB"], ids=["A", "B", "both"])
     @given(
         data=st.data(),
         rows=st.lists(st.tuples(st.one_of(_machines, _coins), st.one_of(_machines, _coins)),
                       max_size=4),
-        turns=st.sampled_from((1, BLOCK_TURNS - 1, BLOCK_TURNS, BLOCK_TURNS + 1,
-                               2 * BLOCK_TURNS + 1, 200)),
+        size=st.sampled_from((100, 300, 700, 1024, 1100)),
         noise=st.sampled_from((0.0, 0.1, 1.0)),
     )
     @settings(max_examples=40, deadline=None)
-    def test_batch_equals_the_generic_loop(self, coins_on, data, rows, turns, noise):
+    def test_batch_equals_the_generic_loop(self, coins_on, data, rows, size, noise):
         # the first row holds the coin(s) named by coins_on; the others are drawn
         first = tuple(data.draw(_coins if side in coins_on else _machines) for side in "AB")
         rows = [first] + rows
         seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=len(rows),
                                    max_size=len(rows)))
-        out_a, out_b = play_batch([_side_program(a) for a, _ in rows],
-                                  [_side_program(b) for _, b in rows], turns, noise, seeds)
+        # the drawn rows lead a batch of size rows, whose block length sets the edges
+        block = _block_turns(size, 2**31)
+        turns = data.draw(st.sampled_from((1, block - 1, block, block + 1, 2 * block + 1)))
+        batch = [rows[row % len(rows)] for row in range(size)]
+        out_a, out_b = play_batch([_side_program(a) for a, _ in batch],
+                                  [_side_program(b) for _, b in batch], turns, noise,
+                                  seeds + list(range(size - len(rows))))
         for row, ((side_a, side_b), seed) in enumerate(zip(rows, seeds)):
             ref_a, ref_b, _, _ = reference_play(side_a, side_b, turns, noise, seed)
             assert out_a[row].tolist() == list(ref_a), row
@@ -264,11 +268,28 @@ class TestBlockEdges:
         cells = machine.codes.size
         filled = Program(KIND_RANDOM, [3] * cells, 5, 0.5)
         plain = random_program(0.5)
-        turns = 2 * BLOCK_TURNS + 1
+        turns = 2 * _block_turns(2, 2**31) + 1
         want_a, want_b = play_batch([plain, machine], [machine, plain], turns, noise, [4, 5])
         got_a, got_b = play_batch([filled, machine], [machine, filled], turns, noise, [4, 5])
         assert np.array_equal(got_a, want_a)
         assert np.array_equal(got_b, want_b)
+
+    @pytest.mark.parametrize("rows, blocks", [
+        (231, [70, 70, 60]),  # the default tournament's batch: 16,384 // 231 turns a block
+        (1024, [16] * 12 + [8]),  # from 1,024 rows on, 16-turn blocks as before
+        (1050, [16] * 12 + [8]),  # noisy_profile's batch
+    ])
+    def test_a_batch_draws_in_blocks_set_by_its_row_count(self, monkeypatch, rows, blocks):
+        counts, draws = [], kernels._draws
+
+        def counted(state, first, count, step=1):
+            counts.append(count)
+            return draws(state, first, count, step)
+
+        monkeypatch.setattr(kernels, "_draws", counted)
+        coin = random_program(0.5)
+        play_batch([coin] * rows, [coin] * rows, 200, 0.0, list(range(rows)))
+        assert counts == blocks  # at noise 0 only the coins draw, once a block
 
 
 @given(level=st.one_of(st.sampled_from((0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53, 1.0)),

@@ -19,6 +19,10 @@ from ipdlab import (
     roster_default,
     run_tournament,
 )
+from ipdlab.cli import _resolve_roster, main
+from ipdlab.evolution import random_genome
+from ipdlab.fsm import serialize_fsm
+from ipdlab.rng import SplitMix64
 from ipdlab.tournament import _format_payoff, render_history_dump
 
 ROSTER = tuple(sid.name for sid in roster_default())
@@ -165,3 +169,28 @@ def test_any_sharing_of_records_reads_as_unshared(matches):
     for player in {name for name_a, name_b, _rep in histories for name in (name_a, name_b)}:
         assert cooperation_rates(histories, player) == cooperation_rates(unshared, player)
     assert render_history_dump(_result_of(histories)) == _dump_by_line(histories)
+
+
+@pytest.mark.parametrize("noise", ["0", "0.05"])
+def test_the_coop_report_of_a_60_entrant_field_walks_each_player_over_all_histories(
+        tmp_path, noise):
+    # the default 15 and 45 random six-state machines, self-matches included
+    paths = [tmp_path / f"M{i}.fsm" for i in range(45)]
+    for i, path in enumerate(paths):
+        path.write_text(serialize_fsm(random_genome(6, SplitMix64(i), f"M{i}")), encoding="utf-8")
+    roster = ",".join(["default", *(f"@{path}" for path in paths)])
+    settings = ["--turns", "20", "--reps", "3", "--noise", noise, "--seed", "5", "--self-matches"]
+    coop = tmp_path / "coop.csv"
+    assert main(["tournament", "--roster", roster, *settings, "--coop-report", str(coop)]) == 0
+
+    registry, names = _resolve_roster(roster)
+    result = run_tournament(TournamentConfig(roster=tuple(names), turns=20, repetitions=3,
+                                             noise=float(noise), master_seed=5,
+                                             include_self_matches=True), registry)
+    assert len(result.roster) == 60
+    lines = ["Name,Context,Count,Rate"]
+    for name in result.roster:
+        report = cooperation_rates(result.histories, name)  # every player walks the whole mapping
+        lines.extend(f"{name},{label},{stats.count},{stats.rate:.9f}"
+                     for label, stats in report.contexts.items())
+    assert coop.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
