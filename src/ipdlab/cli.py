@@ -22,9 +22,9 @@ never leaves a temp file.  The only exception is the evolve --log
 stream, which is flushed line by line so crashed runs can resume from
 it.  A resume reads the log once, reruns the search from generation 0,
 refuses a logged generation that the rerun does not reproduce, and
-appends the rest.  Every input file is read whole, and a byte that is
-not UTF-8 is refused, with its line, first.  Each command imports only
-the modules it uses, so prune and equiv run without numpy.
+appends the rest.  rates streams a dump as written; any other input file
+is read whole.  A byte that is not UTF-8 is refused, with its line, first.
+Each command imports only its modules: prune and equiv run without numpy.
 """
 
 import argparse

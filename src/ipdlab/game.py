@@ -110,10 +110,18 @@ _new_record = partial(tuple.__new__, MatchRecord)  # MatchRecord of a 4-tuple, n
 
 def score_actions(codes_a, codes_b, matrix: PayoffMatrix = DEFAULT_PAYOFFS) -> tuple:
     """A's and B's payoff totals of action codes (C = 0, D = 1), summed over the
-    last axis: one pair of totals per match for a (matches, turns) block."""
+    last axis: one pair of totals per match for a (matches, turns) block.  Integer
+    entries with turns x max|entry| < 2**53 score exactly, from counts of D_a, D_b and DD."""
     codes_a, codes_b = np.asarray(codes_a), np.asarray(codes_b)
     # as_array()[own, opponent] is entry 2 * own + opponent of the flat table
     table = matrix.as_array().ravel()
+    turns, entries = codes_a.shape[-1], table.tolist()
+    if turns * max(map(abs, entries)) < 2 ** 53 and all(map(float.is_integer, entries)):
+        r, s, t, p = map(int, entries)
+        d_a, d_b, dd = (c.sum(axis=-1, dtype=np.int64) for c in (codes_a, codes_b, codes_a & codes_b))
+        cc = turns - d_a - d_b + dd
+        return ((r * cc + s * (d_b - dd) + t * (d_a - dd) + p * dd).astype(np.float64),
+                (r * cc + s * (d_a - dd) + t * (d_b - dd) + p * dd).astype(np.float64))
     return table[2 * codes_a + codes_b].sum(axis=-1), table[2 * codes_b + codes_a].sum(axis=-1)
 
 

@@ -163,7 +163,7 @@ def _batch_numpy(packed, turns, noise, seeds, out):
     (2, matches, turns) block: row i of each seat meets under seeds[i]."""
     table, entry, kind, p = packed
     rows = seeds.shape[0]
-    entry = entry.reshape(2, rows)
+    entry = entry.reshape(2, rows).copy()  # stepped in place, so the caller's entries stay as given
     # the Random rows of both seats, flattened seat-major as _pack gave them
     coin = np.flatnonzero(kind == KIND_RANDOM)
     coin_state = _mix_in_place(seeds[coin % rows] + _TAGS[coin // rows])
@@ -192,7 +192,7 @@ def _batch_numpy(packed, turns, noise, seeds, out):
             np.bitwise_xor(entry[0], entry[1], out=moved)
             moved &= 1
             np.bitwise_xor(entry, moved, out=key[k])
-            entry = table.take(key[k], mode="clip")
+            table.take(key[k], mode="clip", out=entry)
         # A's moves are bit 0 of B's keys, and B's of A's
         np.bitwise_and(key[:count, ::-1].transpose(1, 2, 0), 1, out=out[:, :, t0:t0 + count],
                        casting="unsafe")

@@ -31,6 +31,7 @@ from .strategies import default_registry
 CONTEXTS = ("CC", "CD", "DC", "DD")
 
 _DROP_CD = str.maketrans("", "", "CD")  # str.translate table that deletes C and D
+_BLOCK = 120 * 1024  # bytes a dump is read in: under glibc's 128 KiB mmap threshold
 
 
 @dataclass(frozen=True)
@@ -262,25 +263,44 @@ def read_history_dump(path, player=None) -> dict:
     digits than int() reads, a payoff that is not a finite number, and a
     match named twice.
 
-    The file is read whole, and a byte that is not UTF-8 is named before
-    any other fault.  Each rule is checked on a whole column of the text's
-    fields, line ends too: one in each field that joins two lines, none in
-    any other.  If a check fails, or the text does not end in a line end,
-    its lines are walked one by one instead, so a refusal names the first
-    bad line and the first rule it breaks.  Both ways read a good file alike.
+    A dump as written is read in blocks of whole lines, so a read holds a
+    block, the records it returns and an 8-byte hash per line.  Each rule is
+    checked on a whole column of a block's fields, line ends too: one in each
+    field that joins two lines, none in any other.  Any other file is read
+    whole, and takes the same check, or if that fails, a walk of its lines:
+    a byte that is not UTF-8, then the first bad line and rule, are named.
 
     With a player, every line is still checked, but only the matches that
     name the player are returned, in file order (a self-match once).
     """
-    text = read_text(path)
-    histories = _dump_columns(text, player)
+    histories = _read_dump_blocks(path, player)
+    if histories is None:  # the whole text
+        histories = _dump_columns(text := read_text(path), player)
     if histories is None:  # the line walk, its result filtered the same way
         histories = {key: record for key, record in _read_dump_lines(path, text.split("\n")).items()
                      if player is None or player in key[:2]}
     return histories
 
 
-def _dump_columns(text, player=None):
+def _read_dump_blocks(path, player):
+    """read_history_dump of a dump as written, _BLOCK bytes of whole lines at a time, or None if a
+    block is not UTF-8 or fails _dump_columns, the file ends mid-line, or two keys hash alike."""
+    histories, hashes, rest = {}, [], b""
+    with open(path, "rb") as fh:
+        while data := fh.read(_BLOCK):
+            data = rest + data
+            cut = data.rfind(b"\n") + 1
+            rest = data[cut:]  # a line that runs on into the next block
+            if cut:  # a byte that is not UTF-8 reads as U+FFFD, which the whole read names
+                text = str(memoryview(data)[:cut], "utf-8", "replace")
+                if "\ufffd" in text or (block := _dump_columns(text, player, hashes)) is None:
+                    return None
+                histories.update(block)
+    keys = np.sort(np.concatenate([np.zeros(0, np.int64), *hashes]))
+    return None if rest or (keys[1:] == keys[:-1]).any() else histories
+
+
+def _dump_columns(text, player=None, hashes=None):
     """The histories mapping of a dump's text (its lines that name player, if given),
     or None if the text does not end in a line end or a line breaks a rule of read_history_dump."""
     fields = text.split("|")
@@ -293,7 +313,7 @@ def _dump_columns(text, player=None):
     names_b, reps, acts_a, acts_b, pays_a = (fields[k::6] for k in range(1, 6))
     if not (text.endswith("\n") and (len(fields) - 1) % 6 == 0 and len(ends) == 2 * len(joints)
             and all(map(operator.contains, joints, "\n" * len(joints)))
-            and "\n" not in "".join(fields[:1] + names_b + pays_a)
+            and "\n" not in "".join(fields[:1] + names_b + pays_a) and "\r" not in text
             and all(names_a) and all(names_b) and all(reps) and all(acts_a) and all(acts_b)):
         return None
     letters = np.frombuffer("".join(acts_a + acts_b).encode(), np.uint8)
@@ -309,8 +329,10 @@ def _dump_columns(text, player=None):
         repetitions = list(map({rep: int(rep) for rep in set(reps)}.__getitem__, reps))
     except ValueError:
         return None
+    if hashes is not None:  # a list: the caller checks all its texts' keys for a match named twice
+        hashes.append(np.fromiter(map(hash, zip(names_a, names_b, repetitions)), np.int64, len(joints)))
     if not (all(map(math.isfinite, payoffs_a)) and all(map(math.isfinite, payoffs_b))
-            and len(set(zip(names_a, names_b, repetitions))) == len(joints)):  # no match named twice
+            and (hashes is not None or len(set(zip(names_a, names_b, repetitions))) == len(joints))):
         return None
     columns = names_a, names_b, repetitions, acts_a, acts_b, payoffs_a, payoffs_b
     if player is not None:  # every line is checked, but only the player's become records

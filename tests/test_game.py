@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ipdlab import (
@@ -267,6 +267,46 @@ def test_score_actions_equals_the_two_dimensional_gather(matrix, data):
     payoffs_a, payoffs_b = score_actions(codes_a, codes_b, matrix)
     assert payoffs_a.tobytes() == table[codes_a, codes_b].sum(axis=-1).tobytes()
     assert payoffs_b.tobytes() == table[codes_b, codes_a].sum(axis=-1).tobytes()
+
+
+@st.composite
+def integer_payoffs(draw, turns):
+    """PayoffMatrix values that are integers with turns x |entry| below 2**53, often
+    at that bound: score_actions takes them from outcome counts."""
+    limit = (2 ** 53 - 1) // turns
+    entry = st.one_of(st.integers(-9, 9), st.integers(-limit, limit),
+                      st.integers(limit - 3, limit), st.integers(-limit, 3 - limit))
+    s, p, r = sorted(draw(st.lists(entry, min_size=3, max_size=3, unique=True)))
+    assume(r < limit)
+    top = min(limit, 2 * r - s - 1)  # t < 2r - s, and s <= r - 2 leaves room above r
+    t = draw(st.one_of(st.just(top), st.integers(r + 1, top)))
+    return PayoffMatrix(t=float(t), r=float(r), p=float(p), s=float(s))
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_score_actions_of_an_integer_matrix_equals_the_gather(data):
+    """Totals from outcome counts are the [own, opponent] table's sums, bit for bit."""
+    shape = data.draw(st.tuples(st.integers(0, 4), st.integers(1, 40)))
+    matrix = data.draw(integer_payoffs(shape[1]))
+    codes = st.lists(st.integers(0, 1), min_size=shape[0] * shape[1],
+                     max_size=shape[0] * shape[1])
+    codes_a = np.array(data.draw(codes), dtype=np.int8).reshape(shape)
+    codes_b = np.array(data.draw(codes), dtype=np.int8).reshape(shape)
+    table = matrix.as_array()
+    payoffs_a, payoffs_b = score_actions(codes_a, codes_b, matrix)
+    assert payoffs_a.tobytes() == table[codes_a, codes_b].sum(axis=-1).tobytes()
+    assert payoffs_b.tobytes() == table[codes_b, codes_a].sum(axis=-1).tobytes()
+
+
+def test_score_actions_past_the_count_bound_takes_the_gather():
+    # 3 turns x 2**53 is past the bound.  The gather adds 1, 2**53 and 1, and both
+    # of its running sums past the first round 2**53 + 1 to 2**53; the exact
+    # total, 2**53 + 2, is a double, so only the gather reads 2**53.
+    matrix = PayoffMatrix(t=2.0 ** 53, r=2.0 ** 53 - 2, p=1.0, s=0.0)
+    payoffs_a, payoffs_b = score_actions([[1, 1, 1]], [[1, 0, 1]], matrix)
+    assert payoffs_a.tolist() == [2.0 ** 53]
+    assert payoffs_b.tolist() == [2.0]
 
 
 class TestMatchRecord:

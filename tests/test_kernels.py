@@ -90,6 +90,20 @@ class TestBatchMechanics:
             assert np.array_equal(batch_a[row], solo_a)
             assert np.array_equal(batch_b[row], solo_b)
 
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_a_packed_batch_plays_alike_twice_and_stays_as_packed(self, e6, noise):
+        # the kernel steps its own copy of the entries: the first turn's bits
+        # must not land in the caller's packed tuple
+        programs = [fsm_program(e6), random_program(0.4), random_program(0.7), fsm_program(e6)]
+        packed = _pack(programs)
+        before = [column.copy() for column in packed]
+        seeds = np.array([3, 4], dtype=np.uint64)
+        outs = [np.zeros((2, 2, 40), dtype=np.int8) for _ in range(2)]
+        for out in outs:
+            kernels._batch_numpy(packed, 40, noise, seeds, out)
+        assert np.array_equal(outs[0], outs[1])
+        assert all(np.array_equal(column, old) for column, old in zip(packed, before))
+
     def test_empty_batch(self):
         out_a, out_b = play_batch([], [], 10, 0.0, [])
         assert out_a.shape == (0, 10)

@@ -1,5 +1,7 @@
 """Round-robin tournament scoring, ranking, profiling, and dump files."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -10,10 +12,12 @@ from ipdlab import (
     cooperation_rates,
     median_ranking,
     read_history_dump,
+    roster_default,
     run_tournament,
     write_history_dump,
     write_ranking_csv,
 )
+from ipdlab import tournament
 from ipdlab.tournament import render_history_dump, render_ranking_csv
 
 
@@ -365,3 +369,65 @@ def test_reader_refuses_every_other_ascii_character(tmp_path):
             read_history_dump(path)
         assert str(err.value) == (
             f"{path}: line 2: expected C/D action text, got {'D' + char + 'D'!r}")
+
+
+# ── the block reader ─────────────────────────────────────────────────
+
+_WRITTEN = render_history_dump(_run(("Random", "TitForTat", "Defector"), turns=7, repetitions=2,
+                                    noise=0.1, master_seed=2)).encode()
+_SELF = render_history_dump(_run(("Random", "TitForTat"), turns=3, repetitions=2, noise=0.1,
+                                 include_self_matches=True)).encode()
+
+# At block sizes from 1 byte to the whole file, lines straddle blocks and run longer than one
+_EDGE_DUMPS = {
+    "written": _WRITTEN,
+    "duplicate": b"A|B|0|CD|DC|5|5\nA|C|0|CC|CC|6|6\nA|B|0|DD|DD|2|2\n",
+    "fault_then_not_utf8": b"A|B|0|CX|DC|5|5\nA|B|1|CC|CC|6|6\nA|\xffB|2|DD|DD|2|2\n",
+    "not_utf8": _WRITTEN + b"A|\xffB|0|CD|DC|5|5\n",
+    "crlf": _WRITTEN.replace(b"\n", b"\r\n"),
+    "no_final_end": _WRITTEN[:-1],
+    "empty": b"",
+    "self_match": _SELF,
+}
+
+
+def _outcome(path, player):
+    try:
+        return list(read_history_dump(path, player).items())
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", _EDGE_DUMPS)
+def test_every_block_size_reads_a_dump_as_the_whole_file_does(monkeypatch, tmp_path, name):
+    data = _EDGE_DUMPS[name]
+    path = tmp_path / "h.txt"
+    path.write_bytes(data)
+    players = (None, "A", "Random")
+    with monkeypatch.context() as whole:
+        whole.setattr(tournament, "_read_dump_blocks", lambda path, player: None)
+        want = {player: _outcome(path, player) for player in players}
+    for size in range(1, len(data) + 1):
+        monkeypatch.setattr(tournament, "_BLOCK", size)
+        for player in players:
+            assert _outcome(path, player) == want[player], (size, player)
+            if name in ("written", "self_match"):  # a dump as written never needs the whole file
+                assert list(tournament._read_dump_blocks(path, player).items()) == want[player]
+
+
+def test_a_read_holds_blocks_not_the_file(tmp_path):
+    # 4 MB of 200-turn lines.  The records a player's read returns stay, so the
+    # gate is on what the read holds beyond them; a player in no line keeps none.
+    path = tmp_path / "h.txt"
+    roster = [sid.name for sid in roster_default()]
+    write_history_dump(_run(roster, turns=200, repetitions=100, noise=0.05), path)
+    assert path.stat().st_size >= 4 * 2**20
+    for player, matches in (("Absent", 0), ("TitForTat", 14 * 100)):
+        tracemalloc.start()
+        try:
+            histories = read_history_dump(path, player)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(histories) == matches
+        assert peak - kept < 10 * tournament._BLOCK, player
