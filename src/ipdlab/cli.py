@@ -143,7 +143,7 @@ def _atomic_write_all(staged):
             tmp = f"{path}.tmp{os.getpid()}"
             with open(tmp, "w", encoding="utf-8", newline="") as fh:
                 temps.append((tmp, path))
-                fh.write(text)
+                fh.writelines(text[at:at + 65536] for at in range(0, len(text), 65536))  # not one encoded copy of the whole
         while temps:
             os.replace(*temps[0])
             del temps[0]

@@ -130,7 +130,7 @@ def match_records(codes_a, codes_b, matrix: PayoffMatrix = DEFAULT_PAYOFFS) -> l
     codes_a, codes_b = np.asarray(codes_a), np.asarray(codes_b)
     turns = codes_a.shape[1]
     # C and D are adjacent in ASCII, so each block renders as one text, cut into rows
-    texts = ((codes.astype(np.uint8) + ord("C")).tobytes().decode("ascii")
+    texts = (str(np.add(codes, ord("C"), dtype=np.uint8, casting="unsafe", order="C"), "ascii")
              for codes in (codes_a, codes_b))
     text_a, text_b = ([text[i:i + turns] for i in range(0, len(text), turns)] for text in texts)
     payoffs_a, payoffs_b = score_actions(codes_a, codes_b, matrix)

@@ -241,8 +241,8 @@ def render_history_dump(result: TournamentResult) -> str:
         if record is not shown:
             shown, tail = record, (f"{record.actions_a}|{record.actions_b}|"
                                    f"{_format_payoff(record.payoff_a)}|{_format_payoff(record.payoff_b)}")
-        lines.append(f"{name_a}|{name_b}|{rep}|{tail}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"{name_a}|{name_b}|{rep}|{tail}\n")
+    return "".join(lines) or "\n"  # a result with no match renders as one line end
 
 
 def write_history_dump(result: TournamentResult, destination) -> int:
@@ -267,37 +267,37 @@ def read_history_dump(path, player=None) -> dict:
     block, the records it returns and an 8-byte hash per line.  Each rule is
     checked on a whole column of a block's fields, line ends too: one in each
     field that joins two lines, none in any other.  Any other file is read
-    whole, and takes the same check, or if that fails, a walk of its lines:
-    a byte that is not UTF-8, then the first bad line and rule, are named.
+    whole and walked line by line: a byte that is not UTF-8, then the first
+    bad line and the first rule it breaks, are named.  Both ways read a good
+    file alike.
 
     With a player, every line is still checked, but only the matches that
     name the player are returned, in file order (a self-match once).
     """
     histories = _read_dump_blocks(path, player)
-    if histories is None:  # the whole text
-        histories = _dump_columns(text := read_text(path), player)
     if histories is None:  # the line walk, its result filtered the same way
-        histories = {key: record for key, record in _read_dump_lines(path, text.split("\n")).items()
+        histories = {key: record for key, record in _read_dump_lines(path, read_text(path).split("\n")).items()
                      if player is None or player in key[:2]}
     return histories
 
 
 def _read_dump_blocks(path, player):
     """read_history_dump of a dump as written, _BLOCK bytes of whole lines at a time, or None if a
-    block is not UTF-8 or fails _dump_columns, the file ends mid-line, or two keys hash alike."""
-    histories, hashes, rest = {}, [], b""
+    block holds '\\r', is not UTF-8 or fails _dump_columns, the file ends mid-line, or two keys hash alike."""
+    histories, hashes, rest = {}, [], []  # rest: the blocks of a line that runs on
     with open(path, "rb") as fh:
         while data := fh.read(_BLOCK):
-            data = rest + data
-            cut = data.rfind(b"\n") + 1
-            rest = data[cut:]  # a line that runs on into the next block
-            if cut:  # a byte that is not UTF-8 reads as U+FFFD, which the whole read names
-                text = str(memoryview(data)[:cut], "utf-8", "replace")
+            if b"\r" in data:  # the line walk reads '\r' line ends
+                return None
+            rest.append(data)
+            if cut := data.rfind(b"\n") + 1:  # a byte that is not UTF-8 reads as U+FFFD
+                text = str(b"".join([*rest[:-1], memoryview(data)[:cut]]), "utf-8", "replace")
+                rest = [data[cut:]]
                 if "\ufffd" in text or (block := _dump_columns(text, player, hashes)) is None:
                     return None
                 histories.update(block)
     keys = np.sort(np.concatenate([np.zeros(0, np.int64), *hashes]))
-    return None if rest or (keys[1:] == keys[:-1]).any() else histories
+    return None if any(rest) or (keys[1:] == keys[:-1]).any() else histories
 
 
 def _dump_columns(text, player=None, hashes=None):
@@ -313,7 +313,7 @@ def _dump_columns(text, player=None, hashes=None):
     names_b, reps, acts_a, acts_b, pays_a = (fields[k::6] for k in range(1, 6))
     if not (text.endswith("\n") and (len(fields) - 1) % 6 == 0 and len(ends) == 2 * len(joints)
             and all(map(operator.contains, joints, "\n" * len(joints)))
-            and "\n" not in "".join(fields[:1] + names_b + pays_a) and "\r" not in text
+            and "\n" not in "".join(fields[:1] + names_b + pays_a)
             and all(names_a) and all(names_b) and all(reps) and all(acts_a) and all(acts_b)):
         return None
     letters = np.frombuffer("".join(acts_a + acts_b).encode(), np.uint8)

@@ -924,3 +924,13 @@ def test_the_module_exits_with_the_code_main_returns(argv, code, err):
     assert proc.returncode == code
     assert proc.stdout == ""
     assert proc.stderr == err.format(usage=cli.build_parser().format_usage())
+
+
+@pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537, 3 * 65536 + 7])
+def test_a_staged_text_is_written_whole_in_slices(tmp_path, size):
+    # '€' is three bytes in UTF-8; a slice of the text never splits a character
+    text = ("ab€\n" * size)[:size]
+    path = tmp_path / "out.txt"
+    cli._atomic_write_all([(str(path), text)])
+    assert path.read_bytes() == text.encode("utf-8")
+    assert os.listdir(tmp_path) == ["out.txt"]

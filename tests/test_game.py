@@ -299,6 +299,19 @@ def test_score_actions_of_an_integer_matrix_equals_the_gather(data):
     assert payoffs_b.tobytes() == table[codes_b, codes_a].sum(axis=-1).tobytes()
 
 
+@pytest.mark.parametrize("matrix", [PayoffMatrix(t=3.0, r=2.0, p=1.0, s=-0.0),
+                                    PayoffMatrix(t=-0.0, r=-1.0, p=-3.0, s=-4.0)])
+def test_score_actions_of_a_matrix_with_a_negative_zero_equals_the_gather(matrix):
+    # -0.0 is an integer, so these take the count form, whose zero total is +0.0;
+    # numpy's sum of a row of -0.0 starts from +0.0 and gives +0.0 too
+    codes_a = np.array([[0, 0, 0], [1, 1, 1], [0, 1, 0], [1, 0, 1]], dtype=np.int8)
+    codes_b = np.array([[1, 1, 1], [0, 0, 0], [1, 0, 1], [0, 1, 0]], dtype=np.int8)
+    table = matrix.as_array()
+    payoffs_a, payoffs_b = score_actions(codes_a, codes_b, matrix)
+    assert payoffs_a.tobytes() == table[codes_a, codes_b].sum(axis=-1).tobytes()
+    assert payoffs_b.tobytes() == table[codes_b, codes_a].sum(axis=-1).tobytes()
+
+
 def test_score_actions_past_the_count_bound_takes_the_gather():
     # 3 turns x 2**53 is past the bound.  The gather adds 1, 2**53 and 1, and both
     # of its running sums past the first round 2**53 + 1 to 2**53; the exact

@@ -1,6 +1,8 @@
 """Round-robin tournament scoring, ranking, profiling, and dump files."""
 
+import time
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -431,3 +433,32 @@ def test_a_read_holds_blocks_not_the_file(tmp_path):
             tracemalloc.stop()
         assert len(histories) == matches
         assert peak - kept < 10 * tournament._BLOCK, player
+
+
+def test_a_dump_with_cr_ends_leaves_the_block_reader_at_its_first_block(tmp_path):
+    # the line walk reads '\r' ends, so the block reader carries nothing on
+    path = tmp_path / "h.txt"
+    path.write_bytes(_WRITTEN.replace(b"\n", b"\r") * (4 * 2**20 // len(_WRITTEN) + 1))
+    tracemalloc.start()
+    try:
+        assert tournament._read_dump_blocks(path, None) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * tournament._BLOCK
+
+
+def test_a_line_longer_than_many_blocks_is_read_in_linear_time(monkeypatch, tmp_path):
+    # 4 MB without a line end in 256-byte blocks: carrying the line by copying
+    # it onto each block would copy about 34 GB
+    monkeypatch.setattr(tournament, "_BLOCK", 256)
+    path = tmp_path / "h.txt"
+    path.write_bytes(b"A|B|0|" + b"C" * (4 * 2**20))
+    start = time.perf_counter()
+    assert tournament._read_dump_blocks(path, None) is None
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_result_with_no_match_renders_as_one_line_end():
+    result = _run(("TitForTat", "Defector"))
+    assert render_history_dump(replace(result, histories={})) == "\n"
