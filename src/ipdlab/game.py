@@ -109,9 +109,8 @@ _new_record = partial(tuple.__new__, MatchRecord)  # MatchRecord of a 4-tuple, n
 
 
 def score_actions(codes_a, codes_b, matrix: PayoffMatrix = DEFAULT_PAYOFFS) -> tuple:
-    """A's and B's payoff totals of action codes (C = 0, D = 1), summed over the
-    last axis: one pair of totals per match for a (matches, turns) block.  Integer
-    entries with turns x max|entry| < 2**53 score exactly, from counts of D_a, D_b and DD."""
+    """A's and B's payoff totals of action codes (C = 0, D = 1) over the last axis, one pair per match of
+    a (matches, turns) block; integer entries under 2**53 / turns score exactly from D_a, D_b, DD counts."""
     codes_a, codes_b = np.asarray(codes_a), np.asarray(codes_b)
     # as_array()[own, opponent] is entry 2 * own + opponent of the flat table
     table = matrix.as_array().ravel()

@@ -16,6 +16,7 @@ across repetitions, ties broken by roster position.
 
 import math
 import operator
+import os
 import statistics
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, count
@@ -263,18 +264,18 @@ def read_history_dump(path, player=None) -> dict:
     digits than int() reads, a payoff that is not a finite number, and a
     match named twice.
 
-    A dump as written is read in blocks of whole lines, so a read holds a
-    block, the records it returns and an 8-byte hash per line.  Each rule is
-    checked on a whole column of a block's fields, line ends too: one in each
-    field that joins two lines, none in any other.  Any other file is read
-    whole and walked line by line: a byte that is not UTF-8, then the first
-    bad line and the first rule it breaks, are named.  Both ways read a good
-    file alike.
+    A dump as written, in a regular file, is read in blocks of whole lines,
+    so a read holds a block, its records and an 8-byte hash per line.  Each
+    rule is checked on a whole column of a block's fields, line ends too: one
+    in each field that joins two lines, none in any other.  Any other file is
+    read whole and walked line by line: a byte that is not UTF-8, then the
+    first bad line and the first rule it breaks, are named.  Both ways read
+    a good file alike.
 
     With a player, every line is still checked, but only the matches that
     name the player are returned, in file order (a self-match once).
     """
-    histories = _read_dump_blocks(path, player)
+    histories = _read_dump_blocks(path, player) if os.path.isfile(path) else None  # a pipe reads once
     if histories is None:  # the line walk, its result filtered the same way
         histories = {key: record for key, record in _read_dump_lines(path, read_text(path).split("\n")).items()
                      if player is None or player in key[:2]}

@@ -1,5 +1,7 @@
 """Round-robin tournament scoring, ranking, profiling, and dump files."""
 
+import os
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -462,3 +464,28 @@ def test_a_line_longer_than_many_blocks_is_read_in_linear_time(monkeypatch, tmp_
 def test_a_result_with_no_match_renders_as_one_line_end():
     result = _run(("TitForTat", "Defector"))
     assert render_history_dump(replace(result, histories={})) == "\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("name", ["written", "crlf"])
+def test_a_dump_in_a_pipe_is_read_once_as_the_file_is(tmp_path, name):
+    # a pipe's data can be read once: a reader that gave it up after a block
+    # and opened it again would wait for a writer that has gone
+    path, fifo = tmp_path / "h.txt", tmp_path / "fifo"
+    path.write_bytes(_EDGE_DUMPS[name])
+    os.mkfifo(fifo)
+    read = {}
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(_EDGE_DUMPS[name])
+
+    def take():
+        read["got"] = _outcome(fifo, "Random")
+
+    threads = [threading.Thread(target=target, daemon=True) for target in (feed, take)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert read.get("got") == _outcome(path, "Random")
