@@ -28,12 +28,13 @@ Each command imports only its modules: prune and equiv run without numpy.
 """
 
 import argparse
-import contextlib
 import math
 import os
 import sys
 from argparse import SUPPRESS
 from dataclasses import fields, replace
+
+from .fsm import write_texts as _atomic_write_all
 
 
 class _UsageError(Exception):
@@ -128,30 +129,6 @@ def _print_header(command: str, settings):
     print(f"# ipdlab {command}")
     for key, value in settings:
         print(f"# {key} = {value}")
-
-
-def _atomic_write_all(staged):
-    """Write every (path, text) pair to a temp file, then rename each over its path.
-
-    No path is replaced until every text is written.  A set of renames is
-    not atomic, so a rename that fails leaves the outputs renamed before
-    it replaced; on any failure, every temp file not yet renamed is removed.
-    """
-    temps = []  # (temp, path) pairs created and not yet renamed
-    try:
-        for path, text in staged:
-            tmp = f"{path}.tmp{os.getpid()}"
-            with open(tmp, "w", encoding="utf-8", newline="") as fh:
-                temps.append((tmp, path))
-                fh.writelines(text[at:at + 65536] for at in range(0, len(text), 65536))  # not one encoded copy of the whole
-        while temps:
-            os.replace(*temps[0])
-            del temps[0]
-    except BaseException:
-        for tmp, _ in temps:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-        raise
 
 
 def _refuse_bad_outputs(*outputs):
@@ -395,17 +372,17 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    from .tournament import CONTEXTS, cooperation_rates, read_history_dump
+    from .tournament import CONTEXTS, _read_dump_any_case, cooperation_rates, read_history_dump
 
     player = args.player
     histories = read_history_dump(args.in_path, player)
     if not histories:
         # no line names the player: take the one name equal to it ignoring case, if any
-        everyone = read_history_dump(args.in_path)
-        folded = {name for key in everyone for name in key[:2] if name.lower() == player.lower()}
-        if len(folded) == 1:
+        alike = _read_dump_any_case(args.in_path, player)
+        folded = {name for key in alike for name in key[:2] if name.lower() == player.lower()}
+        if len(folded) == 1:  # then every match read names it
             (player,) = folded
-            histories = {key: record for key, record in everyone.items() if player in key[:2]}
+            histories = alike
     report = cooperation_rates(histories, player)
     _print_header("rates", [
         ("in", args.in_path),

@@ -18,9 +18,14 @@ per transition; state ids are ASCII digits.  `#` starts a comment, blank
 lines are skipped, tokens are separated by any amount of whitespace.
 Canonical serialization emits states in ascending order with the C row
 before the D row, single spaces between tokens, and a trailing newline.
+
+The module also holds the package's text file reader and writer,
+read_text and write_texts: it needs no numpy, so neither do prune and equiv.
 """
 
+import contextlib
 import io
+import os
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
@@ -433,6 +438,31 @@ def read_text(path, data: bytes = None) -> str:
     # text mode's own translation, which returns a text without '\r' at
     # once; str.replace("\r\n", "\n") slowly scans every character even then
     return io.IncrementalNewlineDecoder(None, translate=True).decode(text, final=True)
+
+
+def write_texts(staged):
+    """Write every (path, text) pair to a temp file, then rename each over its path.
+
+    No path is replaced until every text is written, so a failed write
+    leaves every destination as it was.  A set of renames is not atomic,
+    so a rename that fails leaves the outputs renamed before it replaced;
+    on any failure, every temp file not yet renamed is removed.
+    """
+    temps = []  # (temp, path) pairs created and not yet renamed
+    try:
+        for path, text in staged:
+            tmp = f"{path}.tmp{os.getpid()}"
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                temps.append((tmp, path))
+                fh.writelines(text[at:at + 65536] for at in range(0, len(text), 65536))  # not one encoded copy of the whole
+        while temps:
+            os.replace(*temps[0])
+            del temps[0]
+    except BaseException:
+        for tmp, _ in temps:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        raise
 
 
 def load_fsm_file(path) -> FsmSpec:

@@ -24,7 +24,7 @@ from itertools import combinations, combinations_with_replacement, count
 import numpy as np
 
 from . import kernels
-from .fsm import read_text
+from .fsm import read_text, write_texts
 from .game import MatchRecord, _check_distinct, _check_settings, _new_record, match_records
 from .rng import derive_seeds
 from .strategies import default_registry
@@ -85,9 +85,9 @@ def run_tournament(config: TournamentConfig, registry=None) -> TournamentResult:
     pairing = combinations_with_replacement if config.include_self_matches else combinations
     pairs = sorted(tuple(sorted(pair)) for pair in pairing(names, 2))
 
-    def seeds_of(unshared):
-        tails = [(*pairs[pair], rep) for pair in unshared for rep in range(config.repetitions)]
-        return np.frombuffer(derive_seeds([(config.master_seed, "match")], tails), "<u8")
+    def seeds_of(unshared):  # each pair's seed prefix is hashed once, then one tail per repetition
+        prefixes = [(config.master_seed, "match", *pairs[pair]) for pair in unshared]
+        return np.frombuffer(derive_seeds(prefixes, [(rep,) for rep in range(config.repetitions)]), "<u8")
 
     raw_a, raw_b, index = kernels.play_pairs(
         [(by_name[a].program, by_name[b].program) for a, b in pairs],
@@ -218,10 +218,10 @@ def render_ranking_csv(result: TournamentResult) -> str:
 
 
 def write_ranking_csv(result: TournamentResult, destination) -> int:
-    """Write the ranking table as CSV; returns lines written (incl. header)."""
+    """Write the ranking table as CSV, as the CLI writes a file (a temp file renamed over
+    destination, so a failed write leaves it as it was); returns lines written (incl. header)."""
     text = render_ranking_csv(result)
-    with open(destination, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    write_texts([(destination, text)])
     return text.count("\n")
 
 
@@ -230,27 +230,36 @@ def _format_payoff(value: float) -> str:
 
 
 def render_history_dump(result: TournamentResult) -> str:
-    """One `name_a|name_b|rep|actions_a|actions_b|payoff_a|payoff_b` line per match; a record
-    that also served the line before (as a noise-0 pair's repetitions do) reuses its tail."""
+    """One `name_a|name_b|rep|actions_a|actions_b|payoff_a|payoff_b` line per match.
+
+    The text is one join over references: the names, the record's action
+    texts, and short `|` pieces, so no line is copied before the join.  A
+    record that also served the line before (as a noise-0 pair's
+    repetitions do) reuses its pieces.
+    """
     histories = result.histories
     # a loaded machine's name holds no '|'; a result built by hand may
     if "|" in "".join({*map(operator.itemgetter(0), histories), *map(operator.itemgetter(1), histories)}):
         raise ValueError("strategy names in a history dump cannot contain '|'")
-    lines = []
+    pieces, rep_texts = [], {}  # rep_texts: int rep -> '|rep|'
     shown = tail = None
     for (name_a, name_b, rep), record in histories.items():
         if record is not shown:
-            shown, tail = record, (f"{record.actions_a}|{record.actions_b}|"
-                                   f"{_format_payoff(record.payoff_a)}|{_format_payoff(record.payoff_b)}")
-        lines.append(f"{name_a}|{name_b}|{rep}|{tail}\n")
-    return "".join(lines) or "\n"  # a result with no match renders as one line end
+            shown, tail = record, (record.actions_a, "|", record.actions_b,
+                                   f"|{_format_payoff(record.payoff_a)}|{_format_payoff(record.payoff_b)}\n")
+        if type(rep) is not int:  # a hand-built key's True equals 1 but formats apart
+            rep_text = f"|{rep}|"
+        elif (rep_text := rep_texts.get(rep)) is None:
+            rep_text = rep_texts[rep] = f"|{rep}|"
+        pieces += (name_a, "|", name_b, rep_text)
+        pieces += tail
+    return "".join(pieces) or "\n"  # a result with no match renders as one line end
 
 
 def write_history_dump(result: TournamentResult, destination) -> int:
-    """One pipe-separated line per match; returns the line count."""
+    """One pipe-separated line per match, written as write_ranking_csv writes; returns the line count."""
     text = render_history_dump(result)
-    with open(destination, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    write_texts([(destination, text)])
     return text.count("\n")
 
 
@@ -282,7 +291,17 @@ def read_history_dump(path, player=None) -> dict:
     return histories
 
 
-def _read_dump_blocks(path, player):
+def _read_dump_any_case(path, player):
+    """read_history_dump(path, player) of the matches that name a name equal to player ignoring case."""
+    histories = _read_dump_blocks(path, player, fold=True) if os.path.isfile(path) else None
+    if histories is None:
+        folded = player.lower()
+        histories = {key: record for key, record in _read_dump_lines(path, read_text(path).split("\n")).items()
+                     if folded in (key[0].lower(), key[1].lower())}
+    return histories
+
+
+def _read_dump_blocks(path, player, fold=False):
     """read_history_dump of a dump as written, _BLOCK bytes of whole lines at a time, or None if a
     block holds '\\r', is not UTF-8 or fails _dump_columns, the file ends mid-line, or two keys hash alike."""
     histories, hashes, rest = {}, [], []  # rest: the blocks of a line that runs on
@@ -294,16 +313,17 @@ def _read_dump_blocks(path, player):
             if cut := data.rfind(b"\n") + 1:  # a byte that is not UTF-8 reads as U+FFFD
                 text = str(b"".join([*rest[:-1], memoryview(data)[:cut]]), "utf-8", "replace")
                 rest = [data[cut:]]
-                if "\ufffd" in text or (block := _dump_columns(text, player, hashes)) is None:
+                if "\ufffd" in text or (block := _dump_columns(text, player, hashes, fold)) is None:
                     return None
                 histories.update(block)
     keys = np.sort(np.concatenate([np.zeros(0, np.int64), *hashes]))
     return None if any(rest) or (keys[1:] == keys[:-1]).any() else histories
 
 
-def _dump_columns(text, player=None, hashes=None):
-    """The histories mapping of a dump's text (its lines that name player, if given),
-    or None if the text does not end in a line end or a line breaks a rule of read_history_dump."""
+def _dump_columns(text, player=None, hashes=None, fold=False):
+    """The histories mapping of a dump's text (its lines that name player, if given, or with fold
+    a name equal to player ignoring case), or None if the text does not end in a line end or a
+    line breaks a rule of read_history_dump."""
     fields = text.split("|")
     # Each of fields[6::6] is one line's last field, its '\n' and the next
     # line's first field.  Every line holds 6 '|' exactly when each of these
@@ -337,7 +357,11 @@ def _dump_columns(text, player=None, hashes=None):
         return None
     columns = names_a, names_b, repetitions, acts_a, acts_b, payoffs_a, payoffs_b
     if player is not None:  # every line is checked, but only the player's become records
-        rows = [i for i, a, b in zip(count(), names_a, names_b) if a == player or b == player]
+        if fold:  # the lines of every name equal to player ignoring case
+            names = {name for name in {*names_a, *names_b} if name.lower() == player.lower()}
+            rows = [i for i, a, b in zip(count(), names_a, names_b) if a in names or b in names]
+        else:
+            rows = [i for i, a, b in zip(count(), names_a, names_b) if a == player or b == player]
         columns = [list(map(column.__getitem__, rows)) for column in columns]
     return dict(zip(zip(*columns[:3]), map(_new_record, zip(*columns[3:]))))
 

@@ -2,6 +2,7 @@
 the benchmark's tracer sees of it."""
 
 import runpy
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import ipdlab
 from ipdlab import (TournamentConfig, cooperation_rates, read_history_dump, roster_default,
                     run_tournament)
 from ipdlab.cli import main
-from ipdlab.tournament import CONTEXTS, render_history_dump
+from ipdlab.tournament import _BLOCK, CONTEXTS, render_history_dump
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 ROSTER = tuple(sid.name for sid in roster_default())
@@ -85,3 +86,37 @@ def test_a_case_folded_name_must_match_one_name_of_the_dump(tmp_path, capsys):
     assert "# player = titfortat\n# matches = 2\n" in out
     assert main(["rates", "--in", str(path), "--player", "DEFECTOR"]) == 0
     assert "# player = Defector\n# matches = 1\n" in capsys.readouterr().out
+
+
+def test_a_player_named_in_another_case_reads_a_crlf_dump_too(dumps, tmp_path, capsys):
+    # the line walk reads a '\r\n' dump, and folds the name as the block reader does
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(dumps["self"].read_bytes().replace(b"\n", b"\r\n"))
+    outs = []
+    for player in ("EvolvedFSM6", "evolvedfsm6"):
+        assert main(["rates", "--in", str(path), "--player", player]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "# player = EvolvedFSM6\n# matches = 150\n" in outs[0]
+
+
+def test_a_name_no_line_spells_so_holds_what_a_named_read_holds(tmp_path, capsys):
+    # 4 MB of 200-turn lines.  A name in no line's spelling is read again for the
+    # names equal to it ignoring case, and that read, too, keeps only their records.
+    path = tmp_path / "h.txt"
+    path.write_text(render_history_dump(run_tournament(TournamentConfig(
+        roster=ROSTER, repetitions=100, noise=0.05))), encoding="utf-8")
+    assert path.stat().st_size >= 4 * 2**20
+    peaks, outs = {}, {}
+    for player in ("TitForTat", "titfortat", "Absent"):
+        tracemalloc.start()
+        try:
+            code = main(["rates", "--in", str(path), "--player", player])
+            peaks[player] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == (2 if player == "Absent" else 0)
+        outs[player] = capsys.readouterr().out
+    assert outs["titfortat"] == outs["TitForTat"]
+    assert peaks["titfortat"] < peaks["TitForTat"] + 2 * _BLOCK
+    assert peaks["Absent"] < peaks["TitForTat"] + 2 * _BLOCK

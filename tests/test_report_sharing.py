@@ -194,3 +194,9 @@ def test_the_coop_report_of_a_60_entrant_field_walks_each_player_over_all_histor
         lines.extend(f"{name},{label},{stats.count},{stats.rate:.9f}"
                      for label, stats in report.contexts.items())
     assert coop.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+
+def test_repetitions_that_compare_equal_render_as_each_formats():
+    # True == 1 and they hash alike, so a cache of repetition text must not mix them
+    histories = {("P", "Q", True): SHARED, ("P", "R", 1): SHARED, ("Q", "R", 1.0): OTHER}
+    assert render_history_dump(_result_of(histories)) == _dump_by_line(histories)
