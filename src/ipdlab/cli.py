@@ -22,8 +22,8 @@ never leaves a temp file.  The only exception is the evolve --log
 stream, which is flushed line by line so crashed runs can resume from
 it.  A resume reads the log once, reruns the search from generation 0,
 refuses a logged generation that the rerun does not reproduce, and
-appends the rest.  rates streams a dump as written; any other input file
-is read whole.  A byte that is not UTF-8 is refused, with its line, first.
+appends the rest.  rates reads its input once: a dump as written in blocks,
+anything else whole.  A byte that is not UTF-8 is refused, with its line, first.
 Each command imports only its modules: prune and equiv run without numpy.
 """
 
@@ -372,17 +372,12 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    from .tournament import CONTEXTS, _read_dump_any_case, cooperation_rates, read_history_dump
+    from .tournament import CONTEXTS, cooperation_rates, read_history_dump
 
     player = args.player
     histories = read_history_dump(args.in_path, player)
-    if not histories:
-        # no line names the player: take the one name equal to it ignoring case, if any
-        alike = _read_dump_any_case(args.in_path, player)
-        folded = {name for key in alike for name in key[:2] if name.lower() == player.lower()}
-        if len(folded) == 1:  # then every match read names it
-            (player,) = folded
-            histories = alike
+    if histories and player not in (names := next(iter(histories))[:2]):  # the one name equal to it ignoring case
+        (player,) = {name for name in names if name.lower() == player.lower()}
     report = cooperation_rates(histories, player)
     _print_header("rates", [
         ("in", args.in_path),

@@ -281,30 +281,31 @@ def read_history_dump(path, player=None) -> dict:
     first bad line and the first rule it breaks, are named.  Both ways read
     a good file alike.
 
-    With a player, every line is still checked, but only the matches that
-    name the player are returned, in file order (a self-match once).
+    With a player, every line is still checked, but only the matches of the
+    name it spells, else of the one name equal to it ignoring case (as
+    --roster compares), are returned, in file order (a self-match once).
     """
     histories = _read_dump_blocks(path, player) if os.path.isfile(path) else None  # a pipe reads once
     if histories is None:  # the line walk, its result filtered the same way
-        histories = {key: record for key, record in _read_dump_lines(path, read_text(path).split("\n")).items()
-                     if player is None or player in key[:2]}
+        histories = _of_player(_read_dump_lines(path, read_text(path).split("\n")), player)
     return histories
 
 
-def _read_dump_any_case(path, player):
-    """read_history_dump(path, player) of the matches that name a name equal to player ignoring case."""
-    histories = _read_dump_blocks(path, player, fold=True) if os.path.isfile(path) else None
-    if histories is None:
-        folded = player.lower()
-        histories = {key: record for key, record in _read_dump_lines(path, read_text(path).split("\n")).items()
-                     if folded in (key[0].lower(), key[1].lower())}
-    return histories
+def _of_player(histories, player):
+    """The matches of histories that read_history_dump returns for player (all of them for None)."""
+    if player is None:
+        return histories
+    names = {name for key in histories for name in key[:2]}
+    if player not in names:  # None, which no key holds, when no name or two names match
+        alike = [name for name in names if name.lower() == player.lower()]
+        player = alike[0] if len(alike) == 1 else None
+    return {key: record for key, record in histories.items() if player in key[:2]}
 
 
-def _read_dump_blocks(path, player, fold=False):
+def _read_dump_blocks(path, player):
     """read_history_dump of a dump as written, _BLOCK bytes of whole lines at a time, or None if a
     block holds '\\r', is not UTF-8 or fails _dump_columns, the file ends mid-line, or two keys hash alike."""
-    histories, hashes, rest = {}, [], []  # rest: the blocks of a line that runs on
+    histories, hashes, rest, spelled = {}, [], [], False  # rest: the blocks of a line that runs on
     with open(path, "rb") as fh:
         while data := fh.read(_BLOCK):
             if b"\r" in data:  # the line walk reads '\r' line ends
@@ -313,17 +314,21 @@ def _read_dump_blocks(path, player, fold=False):
             if cut := data.rfind(b"\n") + 1:  # a byte that is not UTF-8 reads as U+FFFD
                 text = str(b"".join([*rest[:-1], memoryview(data)[:cut]]), "utf-8", "replace")
                 rest = [data[cut:]]
-                if "\ufffd" in text or (block := _dump_columns(text, player, hashes, fold)) is None:
+                if "\ufffd" in text or (block := _dump_columns(text, player, hashes, not spelled)) is None:
                     return None
+                if not spelled and block and player in next(iter(block))[:2]:  # drop the case-equal rows kept so far
+                    spelled, histories = True, {}
                 histories.update(block)
     keys = np.sort(np.concatenate([np.zeros(0, np.int64), *hashes]))
-    return None if any(rest) or (keys[1:] == keys[:-1]).any() else histories
+    if any(rest) or (keys[1:] == keys[:-1]).any():
+        return None
+    return histories if spelled else _of_player(histories, player)
 
 
 def _dump_columns(text, player=None, hashes=None, fold=False):
     """The histories mapping of a dump's text (its lines that name player, if given, or with fold
-    a name equal to player ignoring case), or None if the text does not end in a line end or a
-    line breaks a rule of read_history_dump."""
+    and no line that names player, those that name a name equal to it ignoring case), or None if
+    the text does not end in a line end or a line breaks a rule of read_history_dump."""
     fields = text.split("|")
     # Each of fields[6::6] is one line's last field, its '\n' and the next
     # line's first field.  Every line holds 6 '|' exactly when each of these
@@ -357,11 +362,10 @@ def _dump_columns(text, player=None, hashes=None, fold=False):
         return None
     columns = names_a, names_b, repetitions, acts_a, acts_b, payoffs_a, payoffs_b
     if player is not None:  # every line is checked, but only the player's become records
-        if fold:  # the lines of every name equal to player ignoring case
+        rows = [i for i, a, b in zip(count(), names_a, names_b) if a == player or b == player]
+        if fold and not rows:  # no line spells player: the lines of every name equal to it ignoring case
             names = {name for name in {*names_a, *names_b} if name.lower() == player.lower()}
             rows = [i for i, a, b in zip(count(), names_a, names_b) if a in names or b in names]
-        else:
-            rows = [i for i, a, b in zip(count(), names_a, names_b) if a == player or b == player]
         columns = [list(map(column.__getitem__, rows)) for column in columns]
     return dict(zip(zip(*columns[:3]), map(_new_record, zip(*columns[3:]))))
 

@@ -280,7 +280,23 @@ def integer_payoffs(draw, turns):
     assume(r < limit)
     top = min(limit, 2 * r - s - 1)  # t < 2r - s, and s <= r - 2 leaves room above r
     t = draw(st.one_of(st.just(top), st.integers(r + 1, top)))
+    assume(_passes_the_float_check(t, r, s))
     return PayoffMatrix(t=float(t), r=float(r), p=float(p), s=float(s))
+
+
+def _passes_the_float_check(t, r, s):
+    """PayoffMatrix checks 2r > t + s on floats, where t + s may round up to 2r."""
+    return 2 * float(r) > float(t) + float(s)
+
+
+def test_an_integer_matrix_whose_float_sum_rounds_up_to_2r_is_not_drawn():
+    # Drawn once at shape (0, 1): 2r > t + s holds as integers, but float(t) + float(s)
+    # rounds to -2**53 = 2r.  top = r + 1 is the only t in r < t < 2r - s, so the draw is dropped.
+    s, p, r, t = -4503599627370498, -4503599627370497, -4503599627370496, -4503599627370495
+    assert 2 * r > t + s and float(t) + float(s) == 2 * float(r) == -2.0 ** 53
+    assert not _passes_the_float_check(t, r, s)
+    with pytest.raises(ValueError, match="2r > t \\+ s"):
+        PayoffMatrix(t=float(t), r=float(r), p=float(p), s=float(s))
 
 
 @given(data=st.data())

@@ -1,15 +1,17 @@
 """`ipdlab rates` reads a history dump for one player: its report, and what
 the benchmark's tracer sees of it."""
 
+import os
 import runpy
+import threading
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import ipdlab
-from ipdlab import (TournamentConfig, cooperation_rates, read_history_dump, roster_default,
-                    run_tournament)
+from ipdlab import (MatchRecord, TournamentConfig, cooperation_rates, read_history_dump,
+                    roster_default, run_tournament)
 from ipdlab.cli import main
 from ipdlab.tournament import _BLOCK, CONTEXTS, render_history_dump
 
@@ -120,3 +122,61 @@ def test_a_name_no_line_spells_so_holds_what_a_named_read_holds(tmp_path, capsys
     assert outs["titfortat"] == outs["TitForTat"]
     assert peaks["titfortat"] < peaks["TitForTat"] + 2 * _BLOCK
     assert peaks["Absent"] < peaks["TitForTat"] + 2 * _BLOCK
+
+
+def _through_a_pipe(data, read):
+    """read(path) of a pipe's /dev/fd path, while a thread writes data into the pipe and closes it."""
+    fd_in, fd_out = os.pipe()
+
+    def fill():
+        try:
+            with open(fd_out, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # read stopped before the end
+            pass
+
+    writer = threading.Thread(target=fill)
+    writer.start()
+    try:
+        return read(f"/dev/fd/{fd_in}")
+    finally:
+        os.close(fd_in)
+        writer.join()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_rates_through_a_pipe_prints_what_the_file_prints(dumps, capsys):
+    # a pipe can be read once: the name is resolved in the one read
+    path = dumps["noise005"]
+    for player in ("titfortat", "TitForTat", "EVOLVEDFSM6", "Absent"):
+        code = main(["rates", "--in", str(path), "--player", player])
+        want = code, capsys.readouterr()
+
+        def rates(fd_path):
+            return main(["rates", "--in", fd_path, "--player", player]), capsys.readouterr()
+
+        code, got = _through_a_pipe(path.read_bytes(), rates)
+        assert code == want[0], player
+        assert got.out.split("\n")[2:] == want[1].out.split("\n")[2:], player  # below '# in = '
+        assert got.err == want[1].err, player
+
+
+def test_the_library_reads_a_name_as_rates_does(dumps, tmp_path):
+    path = dumps["noise005"]
+    tit_for_tat = [item for item in read_history_dump(path).items() if "TitForTat" in item[0][:2]]
+    assert len(tit_for_tat) == 140
+    assert list(read_history_dump(path, "titfortat").items()) == tit_for_tat
+    assert all(type(record) is MatchRecord for _, record in tit_for_tat)
+    if os.path.isdir("/dev/fd"):
+        assert list(_through_a_pipe(path.read_bytes(),
+                                    lambda fd_path: read_history_dump(fd_path, "titfortat")).items()) == tit_for_tat
+    two = tmp_path / "two.txt"
+    two.write_text("TitForTat|titfortat|0|CC|CD|3|8\n"
+                   "titfortat|Defector|0|CD|DD|1|6\n")
+    crlf = tmp_path / "two_crlf.txt"  # the line walk
+    crlf.write_bytes(two.read_bytes().replace(b"\n", b"\r\n"))
+    for dump in (two, crlf):
+        assert read_history_dump(dump, "TITFORTAT") == {}
+        assert list(read_history_dump(dump, "titfortat")) == [("TitForTat", "titfortat", 0),
+                                                              ("titfortat", "Defector", 0)]
+        assert list(read_history_dump(dump, "DEFECTOR")) == [("titfortat", "Defector", 0)]

@@ -419,6 +419,33 @@ def test_every_block_size_reads_a_dump_as_the_whole_file_does(monkeypatch, tmp_p
                 assert list(tournament._read_dump_blocks(path, player).items()) == want[player]
 
 
+# "tft" lines come before any "TFT" line, and "Grim" is the one spelling of its name
+_SPELLINGS = (b"tft|B|0|CD|DC|1|6\nA|B|0|CC|CC|3|3\nA|tft|1|DD|DD|1|1\n"
+              b"TFT|B|0|CC|CD|0|5\nGrim|TFT|0|DC|CC|5|0\nB|Grim|1|CD|DD|0|1\n")
+
+
+def test_every_block_size_reads_a_name_by_its_spelling_else_its_one_case_equal_name(monkeypatch, tmp_path):
+    path = tmp_path / "h.txt"
+    path.write_bytes(_SPELLINGS)
+    every = list(read_history_dump(path).items())
+    want = {  # a spelling's own lines, else the one name's equal to it ignoring case, else none
+        "TFT": [item for item in every if "TFT" in item[0][:2]],
+        "tft": [item for item in every if "tft" in item[0][:2]],
+        "Tft": [],  # two names equal it ignoring case
+        "GRIM": [item for item in every if "Grim" in item[0][:2]],
+        "grim": [item for item in every if "Grim" in item[0][:2]],
+        "Absent": [],
+    }
+    for size in range(1, len(_SPELLINGS) + 1):
+        monkeypatch.setattr(tournament, "_BLOCK", size)
+        for player, items in want.items():
+            assert list(tournament._read_dump_blocks(path, player).items()) == items, (size, player)
+            assert list(read_history_dump(path, player).items()) == items, (size, player)
+    monkeypatch.setattr(tournament, "_read_dump_blocks", lambda path, player: None)
+    for player, items in want.items():  # the line walk
+        assert list(read_history_dump(path, player).items()) == items, player
+
+
 def test_a_read_holds_blocks_not_the_file(tmp_path):
     # 4 MB of 200-turn lines.  The records a player's read returns stay, so the
     # gate is on what the read holds beyond them; a player in no line keeps none.
