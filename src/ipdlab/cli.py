@@ -15,10 +15,13 @@ Every run prints its resolved configuration as `# key = value` lines so
 an artifact can always be traced back to the flags that made it.
 Output paths are checked before any work: two output flags of one
 command may not name the same file, and none may name a directory or
-lie in no existing directory.  Result files are written to temp names,
-then renamed once all are written.  A set of renames is not atomic: a
-failed rename can leave the outputs renamed before it replaced, but it
-never leaves a temp file.  The only exception is the evolve --log
+another file that is not regular (a FIFO, a device), or lie in no
+existing directory, itself or through a symlink.  A symlinked output is
+written through: the file it names is replaced, and the link stays.
+Result files are written to temp names, then renamed once all are
+written.  A set of renames is not atomic: a failed rename can leave
+the outputs renamed before it replaced, but it never leaves a temp
+file.  The only exception is the evolve --log
 stream, which is flushed line by line so crashed runs can resume from
 it.  A resume reads the log once, reruns the search from generation 0,
 refuses a logged generation that the rerun does not reproduce, and
@@ -133,18 +136,21 @@ def _print_header(command: str, settings):
 
 def _refuse_bad_outputs(*outputs):
     """Refuse, before any work, (flag, path) outputs of one command that are
-    empty, name the same file, name a directory, or lie in no existing directory."""
+    empty, name the same file, name a directory or another file that is not
+    regular once symlinks are followed, or lie in no existing directory."""
     seen = {}
     for flag, path in outputs:
         if path == "":
             raise ValueError(f"{flag} needs a file name, got ''")
         if path is not None:
-            parent = os.path.dirname(path) or "."
+            real = os.path.realpath(path)
             if os.path.isdir(path):
                 raise ValueError(f"{flag} {path} is a directory")
-            if not os.path.isdir(parent):
-                raise ValueError(f"{flag} {path}: {parent} is not a directory")
-            real = os.path.realpath(path)
+            if os.path.exists(path) and not os.path.isfile(path):
+                raise ValueError(f"{flag} {path} is not a regular file")
+            for parent in (os.path.dirname(path) or ".", os.path.dirname(real)):  # a link's too
+                if not os.path.isdir(parent):
+                    raise ValueError(f"{flag} {path}: {parent} is not a directory")
             if real in seen:
                 raise ValueError(f"{seen[real]} and {flag} both name {path}")
             seen[real] = flag

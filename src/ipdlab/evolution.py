@@ -148,9 +148,17 @@ def _mutate_all(parents, rate: float, rngs, names) -> list:
     return list(map(_Genome, names, [parent.ids for parent in parents], codes, openings))
 
 
+def _randranges(rng: SplitMix64, bounds) -> list:
+    """[rng.randrange(b) for b in bounds], from one block of draws; rng ends past them."""
+    draws = kernels._draws(np.array([rng.state], dtype=np.uint64), 1, len(bounds))[:, 0]
+    rng.state = (rng.state + len(bounds) * GOLDEN) & MASK64
+    return (draws % np.array(bounds, dtype=np.uint64)).tolist()
+
+
 def _random_cells(count: int, num_states: int, rng: SplitMix64) -> list:
     """count random codes on num_states states; each draws a target index, then a move."""
-    return [2 * rng.randrange(num_states) + rng.randrange(2) for _ in range(count)]
+    draws = _randranges(rng, [num_states, 2] * count)
+    return [2 * target + move for target, move in zip(draws[::2], draws[1::2])]
 
 
 def _random(num_states: int, rng: SplitMix64, name: str) -> _Genome:
@@ -209,7 +217,8 @@ def _batch_fitness(genomes, params: EvolutionParams, registry) -> list:
     # one Program per genome, so the kernel packs each genome once
     programs = [kernels.Program(kernels.KIND_FSM, genome.codes, genome.opening, 0.0)
                 for genome in genomes]
-    pairs = [(program, opp) for program in programs for opp in opponents]
+    # genome-major pairs of indices into programs + opponents
+    row, column = np.divmod(np.arange(len(genomes) * len(opponents)), len(opponents))
 
     def seeds_of(unshared):
         drawing = unshared[:len(unshared) // len(genomes)]  # genome 0's pairs: every machine's
@@ -219,7 +228,8 @@ def _batch_fitness(genomes, params: EvolutionParams, registry) -> list:
             [(idx, rep) for idx in drawing for rep in range(params.repetitions)]), "<u8")
 
     acts_a, acts_b, index = kernels.play_pairs(
-        pairs, params.repetitions, params.turns, params.noise, seeds_of
+        programs + opponents, np.stack((row, column + len(genomes)), axis=1),
+        params.repetitions, params.turns, params.noise, seeds_of
     )
     # Pairs run genome-major, then opponent-major, so after the gather
     # each genome's block sums to one total per repetition.  The payoffs
@@ -299,7 +309,7 @@ def evolve(seed_genomes, params: EvolutionParams, registry=None, log_stream=None
         survivors = [population[i] for i in order[: params.bottleneck]]
         select_rng = SplitMix64(derive_seed(params.seed, "select", gen))
         slots = range(params.population_size - params.bottleneck)
-        parents = [survivors[select_rng.randrange(len(survivors))] for _ in slots]
+        parents = [survivors[i] for i in _randranges(select_rng, [len(survivors)] * len(slots))]
         rngs = [SplitMix64(derive_seed(params.seed, "mutate", gen, slot)) for slot in slots]
         population = survivors + _mutate_all(parents, params.mutation_rate, rngs,
                                              [f"g{gen + 1}c{slot}" for slot in slots])

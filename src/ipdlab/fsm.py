@@ -446,14 +446,21 @@ def write_texts(staged):
     No path is replaced until every text is written, so a failed write
     leaves every destination as it was.  A set of renames is not atomic,
     so a rename that fails leaves the outputs renamed before it replaced;
-    on any failure, every temp file not yet renamed is removed.
+    on any failure, every temp file not yet renamed is removed.  A path
+    that exists and is not a regular file once symlinks are followed (a
+    FIFO, a device, a directory) raises ValueError before any temp file
+    is made; a symlink is written through, so the link stays.
     """
-    temps = []  # (temp, path) pairs created and not yet renamed
+    targets = [os.path.realpath(path) for path, _ in staged]
+    for (path, _), target in zip(staged, targets):
+        if os.path.exists(target) and not os.path.isfile(target):
+            raise ValueError(f"{path} is not a regular file")
+    temps = []  # (temp, target) pairs created and not yet renamed
     try:
-        for path, text in staged:
-            tmp = f"{path}.tmp{os.getpid()}"
+        for target, (_, text) in zip(targets, staged):
+            tmp = f"{target}.tmp{os.getpid()}"
             with open(tmp, "w", encoding="utf-8", newline="") as fh:
-                temps.append((tmp, path))
+                temps.append((tmp, target))
                 fh.writelines(text[at:at + 65536] for at in range(0, len(text), 65536))  # not one encoded copy of the whole
         while temps:
             os.replace(*temps[0])

@@ -21,7 +21,7 @@ from the table.  A Random row steps cells that all name its own first
 cell and C, so its coin alone decides its move.
 """
 
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 import numpy as np
 
@@ -223,23 +223,26 @@ def play_batch(progs_a, progs_b, turns, noise, seeds):
     return out[0], out[1]
 
 
-def play_pairs(pairs, repetitions, turns, noise, seeds_of):
-    """Play `repetitions` matches of every (prog_a, prog_b) pair in one batch.
+def play_pairs(programs, pairs, repetitions, turns, noise, seeds_of):
+    """Play `repetitions` matches of every pair in one batch.
 
-    A match between two machines at noise 0 draws no random numbers, so
-    its repetitions all replay one result: such a pair gets one played
-    row, and no seed.  Every other pair gets one row per repetition, and
-    one call, seeds_of(their ascending pair indices), returns all their
-    seeds as a uint64 array, pair-major, then rep-minor.
+    programs is a table of Programs and pairs a (pairs, 2) int array of
+    indices into it: pair i seats programs[pairs[i, 0]] as A and
+    programs[pairs[i, 1]] as B.  A match between two machines at noise 0
+    draws no random numbers, so its repetitions all replay one result:
+    such a pair gets one played row, and no seed.  Every other pair gets
+    one row per repetition, and one call, seeds_of(their ascending pair
+    indices), returns all their seeds as a uint64 array, pair-major,
+    then rep-minor.
 
     Returns (acts_a, acts_b, index): the played blocks, as play_batch
     gives them, and an int array of shape (len(pairs), repetitions)
     holding the row that plays each (pair, rep).
     """
     # fromiter, unlike np.array, does not probe each Program for a sequence
-    columns = [np.fromiter(map(itemgetter(side), pairs), object, len(pairs)) for side in (0, 1)]
-    kind_a, kind_b = (np.fromiter(map(attrgetter("kind"), side), np.int8, len(pairs)) for side in columns)
-    shared = (kind_a == KIND_FSM) & (kind_b == KIND_FSM) & (noise == 0)
+    table = np.fromiter(programs, object, len(programs))
+    machine = np.fromiter(map(attrgetter("kind"), table), np.int8, len(table)) == KIND_FSM
+    shared = machine[pairs].all(axis=1) & (noise == 0)
     played = np.where(shared, 1, repetitions)
     first_row = np.cumsum(played) - played
     index = first_row[:, None] + np.where(shared[:, None], 0, np.arange(repetitions))
@@ -247,7 +250,8 @@ def play_pairs(pairs, repetitions, turns, noise, seeds_of):
     unshared = np.flatnonzero(~shared)
     if unshared.size:
         seeds[index[unshared].ravel()] = seeds_of(unshared.tolist())
-    acts_a, acts_b = play_batch(*(np.repeat(side, played) for side in columns), turns, noise, seeds)
+    rows = np.repeat(pairs, played, axis=0)
+    acts_a, acts_b = play_batch(table[rows[:, 0]], table[rows[:, 1]], turns, noise, seeds)
     return acts_a, acts_b, index
 
 

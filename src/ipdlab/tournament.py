@@ -80,17 +80,18 @@ def run_tournament(config: TournamentConfig, registry=None) -> TournamentResult:
     reg = registry if registry is not None else default_registry()
     entries = [reg.get(name) for name in config.roster]
     names = [entry.id.name for entry in entries]
-    by_name = dict(zip(names, entries))
 
     pairing = combinations_with_replacement if config.include_self_matches else combinations
     pairs = sorted(tuple(sorted(pair)) for pair in pairing(names, 2))
+    position = {name: i for i, name in enumerate(names)}
+    slots = np.array([[position[a], position[b]] for a, b in pairs])
 
     def seeds_of(unshared):  # each pair's seed prefix is hashed once, then one tail per repetition
         prefixes = [(config.master_seed, "match", *pairs[pair]) for pair in unshared]
         return np.frombuffer(derive_seeds(prefixes, [(rep,) for rep in range(config.repetitions)]), "<u8")
 
     raw_a, raw_b, index = kernels.play_pairs(
-        [(by_name[a].program, by_name[b].program) for a, b in pairs],
+        [entry.program for entry in entries], slots,
         config.repetitions, config.turns, config.noise, seeds_of,
     )
     records = match_records(raw_a, raw_b)
@@ -102,8 +103,7 @@ def run_tournament(config: TournamentConfig, registry=None) -> TournamentResult:
 
     # Sum each (pair, rep) match's payoffs per seat.  They come from the integer DEFAULT_PAYOFFS,
     # so the order of summation cannot move a bit (_batch_fitness relies on the same).
-    position = {name: i for i, name in enumerate(names)}
-    seats = np.array([position[pair[seat]] for seat in (0, 1) for pair in pairs])
+    seats = slots.T.ravel()
     pay_a, pay_b = np.array([record[2:] for record in records]).T
     totals = np.zeros((len(names), config.repetitions))
     np.add.at(totals, seats, np.concatenate([pay_a[index], pay_b[index]]))

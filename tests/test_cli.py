@@ -2,10 +2,12 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -794,6 +796,55 @@ class TestOutputFailures:
         assert {path: path.read_bytes() for path in tmp_path.rglob("*")
                 if path.is_file()} == before
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize("argv, flag", [
+        (TOURNAMENT, "--out"), (TOURNAMENT, "--histories"), (TOURNAMENT, "--coop-report"),
+        (EVOLVE, "--log"), (EVOLVE, "--out"), (PRUNE, "--out"),
+    ], ids=["tournament_out", "histories", "coop_report", "evolve_log", "evolve_out",
+            "prune_out"])
+    @pytest.mark.parametrize("via_link", [False, True], ids=["fifo", "link_to_fifo"])
+    def test_a_fifo_as_an_output_is_refused_before_the_header(self, tmp_path, monkeypatch, capsys,
+                                                              argv, flag, via_link):
+        # a FIFO would be replaced by a regular file, or block an --log stream forever
+        monkeypatch.chdir(tmp_path)
+        os.mkfifo("F")
+        if via_link:
+            os.symlink("F", "L")
+
+        def no_match(*args, **kwargs):
+            raise AssertionError("a match was played")
+
+        monkeypatch.setattr(ipdlab.kernels, "play_batch", no_match)
+        argv = [*argv]
+        argv[argv.index(flag) + 1] = name = "L" if via_link else "F"
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} {name} is not a regular file\n")
+        assert stat.S_ISFIFO(os.stat("F").st_mode)
+        assert sorted(os.listdir()) == (["F", "L"] if via_link else ["F"])
+
+    @pytest.mark.parametrize("argv, flag", [
+        (TOURNAMENT, "--out"), (TOURNAMENT, "--histories"), (TOURNAMENT, "--coop-report"),
+        (EVOLVE, "--log"), (EVOLVE, "--out"), (PRUNE, "--out"),
+    ], ids=["tournament_out", "histories", "coop_report", "evolve_log", "evolve_out",
+            "prune_out"])
+    def test_a_symlinked_output_is_written_through(self, tmp_path, monkeypatch, capsys, argv,
+                                                   flag):
+        monkeypatch.chdir(tmp_path)
+        name = argv[argv.index(flag) + 1]
+        assert main(argv) == 0
+        plain = Path(name).read_bytes()
+        for path in tmp_path.iterdir():
+            path.unlink()
+        os.mkdir("sub")
+        Path("sub", "target").write_text("old\n")
+        os.symlink(os.path.join("sub", "target"), name)
+        assert main(argv) == 0
+        assert os.path.islink(name)
+        assert os.readlink(name) == os.path.join("sub", "target")
+        assert Path("sub", "target").read_bytes() == plain
+        assert os.listdir("sub") == ["target"]
+        capsys.readouterr()
+
     @pytest.mark.parametrize("argv", [TOURNAMENT, EVOLVE, PRUNE],
                              ids=["tournament", "evolve", "prune"])
     def test_an_output_in_a_missing_directory_is_refused(self, tmp_path, monkeypatch, capsys,
@@ -805,6 +856,20 @@ class TestOutputFailures:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: --out {target}: missing is not a directory\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [TOURNAMENT, EVOLVE, PRUNE],
+                             ids=["tournament", "evolve", "prune"])
+    def test_a_link_into_a_missing_directory_is_refused_before_the_header(
+            self, tmp_path, monkeypatch, capsys, argv):
+        # the write goes through the link, so the directory it names must exist
+        monkeypatch.chdir(tmp_path)
+        os.symlink(os.path.join("missing", "x"), "L")
+        argv = [*argv]
+        argv[argv.index("--out") + 1] = "L"
+        assert main(argv) == 2
+        missing = os.path.join(os.path.realpath(tmp_path), "missing")
+        assert capsys.readouterr() == ("", f"error: --out L: {missing} is not a directory\n")
+        assert os.listdir() == ["L"]
 
     @pytest.mark.parametrize("argv, flag", [
         (TOURNAMENT, "--out"), (TOURNAMENT, "--histories"), (TOURNAMENT, "--coop-report"),

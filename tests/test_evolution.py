@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ipdlab import (
@@ -31,6 +31,7 @@ from ipdlab.evolution import (
     _from_spec,
     _mutate_all,
     _pad,
+    _randranges,
     _seed_population,
     _to_spec,
     genome_key,
@@ -242,6 +243,27 @@ class TestMutation:
             assert _to_spec(child) == expected
             assert child.key == _sha256_key(expected)
             assert rng.state == reference_rng.state
+
+
+class TestBlockDraws:
+    """_randranges makes a list of randrange calls as one block of draws."""
+
+    @given(
+        state=st.integers(0, 2**64 - 1),
+        bounds=st.lists(st.one_of(st.sampled_from((1, 2, 2**63)), st.integers(1, 2**63)),
+                        max_size=40),
+    )
+    @example(state=2**64 - 1, bounds=[])
+    @settings(max_examples=100, deadline=None)
+    def test_equals_one_randrange_call_per_bound(self, state, bounds):
+        rng, reference_rng = SplitMix64(state), SplitMix64(state)
+        assert _randranges(rng, bounds) == [reference_rng.randrange(b) for b in bounds]
+        assert rng.state == reference_rng.state
+
+    def test_a_seed_that_needs_no_padding_draws_nothing(self, e8):
+        rng = SplitMix64(7)
+        assert _pad(_from_spec(e8), 8, rng) == _from_spec(e8)
+        assert rng.state == SplitMix64(7).state
 
 
 class TestRandomGenome:

@@ -173,6 +173,13 @@ def _seeds_of(repetitions, calls=None):
     return seeds_of
 
 
+def _play_object_pairs(pairs, repetitions, turns, noise, seeds_of):
+    """play_pairs on (prog_a, prog_b) pairs: a table of both sides of each pair, in turn."""
+    programs = [prog for pair in pairs for prog in pair]
+    return play_pairs(programs, np.arange(len(programs)).reshape(-1, 2), repetitions, turns,
+                      noise, seeds_of)
+
+
 class TestPlayPairs:
     """The planner plays each distinct match once and maps every repetition to it."""
 
@@ -185,8 +192,8 @@ class TestPlayPairs:
     @settings(max_examples=60, deadline=None)
     def test_rows_equal_the_fully_expanded_batch(self, pairs, repetitions, turns, noise):
         calls = []
-        acts_a, acts_b, index = play_pairs(pairs, repetitions, turns, noise,
-                                           _seeds_of(repetitions, calls))
+        acts_a, acts_b, index = _play_object_pairs(pairs, repetitions, turns, noise,
+                                                   _seeds_of(repetitions, calls))
         assert len(calls) <= 1
         jobs = [(pair, rep) for pair in range(len(pairs)) for rep in range(repetitions)]
         full_a, full_b = play_batch(
@@ -201,7 +208,7 @@ class TestPlayPairs:
         def seeds_of(unshared):
             raise AssertionError("no pair, no seed")
 
-        acts_a, acts_b, index = play_pairs([], 3, 7, 0.05, seeds_of)
+        acts_a, acts_b, index = _play_object_pairs([], 3, 7, 0.05, seeds_of)
         assert acts_a.shape == acts_b.shape == (0, 7)
         assert acts_a.dtype == acts_b.dtype == np.int8
         assert index.shape == (0, 3)
@@ -216,7 +223,7 @@ class TestPlayPairs:
         machines = [fsm_program(e6), fsm_program(e8)]
         pairs = [(machines[i % 2], random_program(0.5) if i in coins else machines[i // 2 % 2])
                  for i in range(5)]
-        acts_a, acts_b, index = play_pairs(pairs, 1, 12, noise, _seeds_of(1))
+        acts_a, acts_b, index = _play_object_pairs(pairs, 1, 12, noise, _seeds_of(1))
         full_a, full_b = play_batch([a for a, _ in pairs], [b for _, b in pairs], 12, noise,
                                     [_seed_of(pair, 0) for pair in range(len(pairs))])
         assert index.tolist() == [[row] for row in range(len(pairs))]
@@ -229,10 +236,42 @@ class TestPlayPairs:
         pairs = [(machine, machine), (machine, coin), (coin, machine), (coin, coin)]
         for noise, seeded_pairs in ((0.0, [1, 2, 3]), (0.05, [0, 1, 2, 3])):
             calls = []
-            acts_a, _, index = play_pairs(pairs, 5, 10, noise, _seeds_of(5, calls))
+            acts_a, _, index = _play_object_pairs(pairs, 5, 10, noise, _seeds_of(5, calls))
             assert calls == [seeded_pairs]  # one call, pairs in ascending order
             assert acts_a.shape == (5 * len(seeded_pairs) + (noise == 0), 10)
             assert len(set(index.ravel().tolist())) == acts_a.shape[0]
+
+    @given(
+        data=st.data(),
+        table=st.lists(_sides, min_size=1, max_size=5),
+        repetitions=st.integers(1, 4),
+        turns=st.integers(1, 25),
+        noise=st.sampled_from((0.0, 0.05)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_index_pairs_play_as_the_fully_expanded_batch(self, data, table, repetitions, turns,
+                                                          noise):
+        first = table[0]
+        twin = Program(first.kind, first.codes.copy(), first.opening, first.p)  # equal content
+        programs = table + [twin, random_program(0.25)]  # the last entry no pair uses
+        used = len(programs) - 1
+        drawn = data.draw(st.lists(st.tuples(st.integers(0, used - 1), st.integers(0, used - 1)),
+                                   max_size=6))
+        # the twin meets its original out of table order, and entry 0 meets itself
+        pairs = [(used - 1, 0), (0, 0)] + drawn
+        calls = []
+        acts_a, acts_b, index = play_pairs(programs, np.array(pairs), repetitions, turns, noise,
+                                           _seeds_of(repetitions, calls))
+        assert len(calls) <= 1
+        jobs = [(pair, rep) for pair in range(len(pairs)) for rep in range(repetitions)]
+        full_a, full_b = play_batch(
+            [programs[pairs[pair][0]] for pair, _ in jobs],
+            [programs[pairs[pair][1]] for pair, _ in jobs],
+            turns, noise, [_seed_of(pair, rep) for pair, rep in jobs],
+        )
+        assert index.shape == (len(pairs), repetitions)
+        assert np.array_equal(acts_a[index.ravel()], full_a)
+        assert np.array_equal(acts_b[index.ravel()], full_b)
 
 
 # A side is a machine, or the probability p of a coin, as reference_play takes it.

@@ -1,6 +1,7 @@
 """Round-robin tournament scoring, ranking, profiling, and dump files."""
 
 import os
+import stat
 import threading
 import time
 import tracemalloc
@@ -546,4 +547,15 @@ def test_a_library_write_that_fails_leaves_the_old_file(tmp_path, write, field):
     with pytest.raises(UnicodeEncodeError):
         write(replace(result, **{field: bad}), path)
     assert path.read_bytes() == b"OLD CONTENT\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("write", [write_history_dump, write_ranking_csv])
+def test_a_library_write_to_a_fifo_is_refused_before_any_temp_file(tmp_path, write):
+    fifo = tmp_path / "out.txt"
+    os.mkfifo(fifo)
+    with pytest.raises(ValueError, match=r"out\.txt is not a regular file$"):
+        write(_run(("TitForTat", "Defector")), fifo)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert os.listdir(tmp_path) == ["out.txt"]
