@@ -28,9 +28,12 @@ refuses a logged generation that the rerun does not reproduce, and
 appends the rest.  rates reads its input once: a dump as written in blocks,
 anything else whole.  A byte that is not UTF-8 is refused, with its line, first.
 Each command imports only its modules: prune and equiv run without numpy.
+Only tournament, evolve and trace read data/: a file there that fails its pin
+is their data error.  The parser is built once, on the first main call.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -115,14 +118,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-_PARSER = None  # built on the first main call; parse_args keeps no state in it
-
-
-def _parser() -> _Parser:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    return _PARSER
+_parser = functools.cache(build_parser)  # parse_args keeps no state in the parser
 
 
 # ── shared helpers ───────────────────────────────────────────────────

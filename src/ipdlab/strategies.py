@@ -3,16 +3,17 @@
 Every deterministic built-in is a finite-state machine.  The seven
 classics (Cooperator, Defector, TitForTat, ...) are defined once, as
 the FSM text below; the hand-built and evolved machines ship as text
-files under data/ and are parsed at import.  Each data file's sha256 is
-pinned below, so a corrupted or edited copy stops the registry from
-loading rather than silently changing tournament results.  Random is
-the one stochastic entry, a coin with no machine behind it.
+files under data/, read on the first `default_registry` call.  Each data
+file's sha256 is pinned below, so a corrupted or edited copy stops the
+registry from loading rather than silently changing tournament results.
+Random is the one stochastic entry, a coin with no machine behind it.
 
 A roster entry is a `RegisteredStrategy`: its identity, the kernel
 program every match plays, and its FsmSpec when it has one.
 `fsm_entry` turns any FsmSpec into such an entry.
 """
 
+import functools
 import hashlib
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -33,6 +34,10 @@ _GOLDEN_SHA256 = {
 
 class UnknownStrategyError(ValueError):
     """Asked the registry for a name it has never heard of."""
+
+
+class _GoldenFileError(RuntimeError, ValueError):
+    """A bundled file failed its pin: a RuntimeError to a library caller, a data error to the CLI."""
 
 
 # ── the deterministic classics ───────────────────────────────────────
@@ -121,14 +126,14 @@ def _load_golden(name: str) -> FsmSpec:
     digest = hashlib.sha256(data).hexdigest()
     expected = _GOLDEN_SHA256[name]
     if digest != expected:
-        raise RuntimeError(
+        raise _GoldenFileError(
             f"built-in machine {name} failed its checksum "
             f"(expected {expected}, found {digest}); refusing to load a "
             "modified golden file"
         )
     spec = parse_fsm(read_text(path, data))
     if spec.name != name:
-        raise RuntimeError(f"golden file for {name} declares name {spec.name!r}")
+        raise _GoldenFileError(f"golden file for {name} declares name {spec.name!r}")
     return spec
 
 
@@ -187,16 +192,15 @@ def _build_default_registry() -> Registry:
     return Registry(entries)
 
 
-_DEFAULT_REGISTRY = _build_default_registry()
-
-
+@functools.cache
 def default_registry() -> Registry:
-    return _DEFAULT_REGISTRY
+    """The built-in registry, built on the first call."""
+    return _build_default_registry()
 
 
 def builtin_fsm(name: str) -> FsmSpec:
     """The FsmSpec behind a built-in machine (golden files only)."""
-    entry = _DEFAULT_REGISTRY.get(name)
+    entry = default_registry().get(name)
     if entry.spec is None or entry.id.kind != "fsm":
         raise UnknownStrategyError(f"{name!r} is not one of the built-in machines")
     return entry.spec
@@ -205,4 +209,4 @@ def builtin_fsm(name: str) -> FsmSpec:
 def roster_default():
     """The full built-in line-up, in registration order: the classics,
     Random, then the bundled machines."""
-    return [entry.id for entry in _DEFAULT_REGISTRY._entries.values()]
+    return [entry.id for entry in default_registry()._entries.values()]

@@ -314,7 +314,7 @@ def _read_dump_blocks(path, player):
             if cut := data.rfind(b"\n") + 1:  # a byte that is not UTF-8 reads as U+FFFD
                 text = str(b"".join([*rest[:-1], memoryview(data)[:cut]]), "utf-8", "replace")
                 rest = [data[cut:]]
-                if "\ufffd" in text or (block := _dump_columns(text, player, hashes, not spelled)) is None:
+                if "\ufffd" in text or (block := _dump_columns(text, hashes, player, not spelled)) is None:
                     return None
                 if not spelled and block and player in next(iter(block))[:2]:  # drop the case-equal rows kept so far
                     spelled, histories = True, {}
@@ -325,10 +325,11 @@ def _read_dump_blocks(path, player):
     return histories if spelled else _of_player(histories, player)
 
 
-def _dump_columns(text, player=None, hashes=None, fold=False):
+def _dump_columns(text, hashes, player=None, fold=False):
     """The histories mapping of a dump's text (its lines that name player, if given, or with fold
     and no line that names player, those that name a name equal to it ignoring case), or None if
-    the text does not end in a line end or a line breaks a rule of read_history_dump."""
+    the text does not end in a line end or a line breaks a rule of read_history_dump.  A match
+    named twice is the caller's to refuse: each line's key hash is appended to the list hashes."""
     fields = text.split("|")
     # Each of fields[6::6] is one line's last field, its '\n' and the next
     # line's first field.  Every line holds 6 '|' exactly when each of these
@@ -340,7 +341,7 @@ def _dump_columns(text, player=None, hashes=None, fold=False):
     if not (text.endswith("\n") and (len(fields) - 1) % 6 == 0 and len(ends) == 2 * len(joints)
             and all(map(operator.contains, joints, "\n" * len(joints)))
             and "\n" not in "".join(fields[:1] + names_b + pays_a)
-            and all(names_a) and all(names_b) and all(reps) and all(acts_a) and all(acts_b)):
+            and all(names_a) and all(names_b) and all(acts_a) and all(acts_b)):
         return None
     letters = np.frombuffer("".join(acts_a + acts_b).encode(), np.uint8)
     if letters.min() < ord("C") or letters.max() > ord("D"):  # C and D are adjacent in ASCII
@@ -350,16 +351,14 @@ def _dump_columns(text, player=None, hashes=None, fold=False):
         return None
     if list(map(len, acts_a)) != list(map(len, acts_b)):
         return None
-    try:  # int() refuses a repetition longer than sys.get_int_max_str_digits()
+    try:  # int() refuses an empty repetition, and one longer than sys.get_int_max_str_digits()
         payoffs_a, payoffs_b = list(map(float, pays_a)), list(map(float, pays_b))
         repetitions = list(map({rep: int(rep) for rep in set(reps)}.__getitem__, reps))
     except ValueError:
         return None
-    if hashes is not None:  # a list: the caller checks all its texts' keys for a match named twice
-        hashes.append(np.fromiter(map(hash, zip(names_a, names_b, repetitions)), np.int64, len(joints)))
-    if not (all(map(math.isfinite, payoffs_a)) and all(map(math.isfinite, payoffs_b))
-            and (hashes is not None or len(set(zip(names_a, names_b, repetitions))) == len(joints))):
+    if not math.isfinite(sum(payoffs_a) + sum(payoffs_b)):  # an inf or a nan anywhere; an overflow takes the line walk
         return None
+    hashes.append(np.fromiter(map(hash, zip(names_a, names_b, repetitions)), np.int64, len(joints)))
     columns = names_a, names_b, repetitions, acts_a, acts_b, payoffs_a, payoffs_b
     if player is not None:  # every line is checked, but only the player's become records
         rows = [i for i, a, b in zip(count(), names_a, names_b) if a == player or b == player]

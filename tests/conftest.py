@@ -29,8 +29,10 @@ def fresh_python():
     return run
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture(scope="session", autouse=True)
 def registry():
+    # built before any test, so a test that points importlib.resources at a
+    # partial data/ copy never builds it from that copy, whatever tests run
     return default_registry()
 
 

@@ -225,20 +225,20 @@ class TestParserReuse:
         (["evolve", "--help"], TINY_EVOLVE),
     ], ids=["seed_fsm_then_none", "usage_error_then_valid", "help_then_valid",
             "command_help_then_valid"])
-    def test_a_call_leaves_nothing_for_the_next(self, tmp_path, monkeypatch, capsys,
+    def test_a_call_leaves_nothing_for_the_next(self, tmp_path, capsys,
                                                 first, second):
         fsm = _write_fsm(tmp_path, "Seed", "fsm Seed\nstart 1 C\n1 C -> 1 C\n1 D -> 1 D\n")
         calls = [[arg.format(fsm=fsm) for arg in argv] for argv in (first, second)]
         fresh = []
         for argv in calls:
-            monkeypatch.setattr(cli, "_PARSER", None)
+            cli._parser.cache_clear()
             fresh.append((main(argv), capsys.readouterr()))
 
-        monkeypatch.setattr(cli, "_PARSER", None)
+        cli._parser.cache_clear()
         shared = [(main(calls[0]), capsys.readouterr())]
-        parser = cli._PARSER
+        parser = cli._parser() if cli._parser.cache_info().currsize else None  # the one main built
         shared.append((main(calls[1]), capsys.readouterr()))
-        assert parser is not None and cli._PARSER is parser
+        assert parser is not None and cli._parser() is parser
         assert shared == fresh
 
 

@@ -1,9 +1,11 @@
 """The paper's pipeline as CLI processes on files: profile the hand-built
 FirstPrac from a tournament's dump, evolve from it (once straight through,
-once killed and resumed), then prune the champion and check it against
-itself."""
+then killed at two log lengths and resumed), then prune the champion, check
+it against itself and play both forms in the default tournament."""
 
+import hashlib
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -14,8 +16,9 @@ import pytest
 
 import ipdlab
 
-GENERATIONS = "200"  # about 1 ms a generation: a kill after KILL_AT lines lands mid-run
-KILL_AT = 10
+GENERATIONS = "200"  # about 2 ms a generation: a kill after KILLS_AT lines lands mid-run
+KILLS_AT = (10, 120)  # of the 201 lines an uninterrupted run logs
+FULL_LOG_SHA256 = "0b5f243710181ddd0e75f477cd30e701c11c70bcbd7bd4b2146b1ff51c23919b"  # seed 0
 FIRSTPRAC = Path(ipdlab.__file__).parent / "data" / "FirstPrac.fsm"
 
 pytestmark = pytest.mark.skipif(not hasattr(signal, "SIGKILL") or not os.path.exists("/dev/stdin"),
@@ -40,22 +43,31 @@ def _evolve(log, out):
             "--log", log, "--out", out]
 
 
-def _killed_evolve(cwd, log, out):
-    """Start _evolve(log, out) and SIGKILL it once its log holds KILL_AT lines."""
+def _killed_evolve(cwd, log, out, kill_at):
+    """Start _evolve(log, out) and SIGKILL it once its log holds kill_at lines; return how
+    many lines the log held when it was first seen non-empty."""
     proc = subprocess.Popen([sys.executable, "-m", "ipdlab.cli", *_evolve(log, out)], cwd=cwd,
                             env=_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    first = None
     try:
         deadline = time.monotonic() + 60
-        while not (cwd / log).exists() or (cwd / log).read_bytes().count(b"\n") < KILL_AT:
+        seen = 0  # the log's size at the last look
+        while True:  # no sleep between looks, so a look falls between two generations
+            size = os.stat(cwd / log).st_size if (cwd / log).exists() else 0
+            if size != seen:
+                seen, lines = size, (cwd / log).read_bytes().count(b"\n")
+                first = first or lines
+                if lines >= kill_at:
+                    break
             assert proc.poll() is None, "the run ended before the kill"
             assert time.monotonic() < deadline, "the log did not grow"
-            time.sleep(0.001)
-        assert proc.poll() is None, "the run ended before the kill"
+        assert proc.poll() is None, "the run ended before the kill"  # so it ran at every look
         proc.send_signal(signal.SIGKILL)
     finally:
         proc.kill()
         proc.wait()
     assert proc.returncode == -signal.SIGKILL  # the kill, not the run's end, stopped it
+    return first
 
 
 def test_the_paper_pipeline_survives_a_kill(tmp_path):
@@ -70,18 +82,35 @@ def test_the_paper_pipeline_survives_a_kill(tmp_path):
         from_pipe = _cli(tmp_path, "rates", "--in", "/dev/stdin", "--player", player, stdin=dump)
         assert from_pipe.replace("# in = /dev/stdin\n", "# in = h.txt\n") == from_file
 
-    # 2. the search from FirstPrac, straight through and killed then resumed
+    # 2. the search from FirstPrac, straight through, and killed then resumed at each KILLS_AT
     _cli(tmp_path, *_evolve("full.log", "best.fsm"))
     full = (tmp_path / "full.log").read_bytes()
     assert full.count(b"\n") == int(GENERATIONS) + 1  # generation 0 and every one after
-    _killed_evolve(tmp_path, "killed.log", "killed.fsm")
-    killed = (tmp_path / "killed.log").read_bytes()
-    assert KILL_AT <= killed.count(b"\n") and len(killed) < len(full) and full.startswith(killed)
-    assert not (tmp_path / "killed.fsm").exists()
-    _cli(tmp_path, *_evolve("killed.log", "killed.fsm"), "--resume")
-    assert (tmp_path / "killed.log").read_bytes() == full
-    assert (tmp_path / "killed.fsm").read_bytes() == (tmp_path / "best.fsm").read_bytes()
+    assert hashlib.sha256(full).hexdigest() == FULL_LOG_SHA256
+    best = (tmp_path / "best.fsm").read_bytes()
+    for kill_at in KILLS_AT:
+        log, out = f"killed{kill_at}.log", f"killed{kill_at}.fsm"
+        first = _killed_evolve(tmp_path, log, out, kill_at)
+        # the log grows as the run goes: it is seen non-empty well before the first kill length
+        # (at 1 to 3 lines in 60 kills on 2 cores), where a log written at the run's end shows 201
+        assert first < KILLS_AT[0], f"the log first held {first} lines"
+        killed = (tmp_path / log).read_bytes()
+        assert kill_at <= killed.count(b"\n") and len(killed) < len(full) and full.startswith(killed)
+        assert not (tmp_path / out).exists()
+        _cli(tmp_path, *_evolve(log, out), "--resume")
+        assert (tmp_path / log).read_bytes() == full
+        assert (tmp_path / out).read_bytes() == best
 
-    # 3. the champion without its unreachable states plays as it does
-    _cli(tmp_path, "prune", "--in", "best.fsm", "--out", "pruned.fsm")
-    assert _cli(tmp_path, "equiv", "--a", "best.fsm", "--b", "pruned.fsm").endswith("\nequivalent\n")
+    # 3. the champion, under a name no built-in uses, without its unreachable states plays as it
+    # does: equivalent, and alike to the byte in the default tournament, with and without noise
+    (tmp_path / "renamed.fsm").write_bytes(re.sub(rb"^fsm \S+", b"fsm Champion", best))
+    _cli(tmp_path, "prune", "--in", "renamed.fsm", "--out", "pruned.fsm")
+    assert _cli(tmp_path, "equiv", "--a", "renamed.fsm", "--b", "pruned.fsm").endswith("\nequivalent\n")
+    for noise in ("0", "0.05"):
+        outputs = []
+        for machine in ("renamed", "pruned"):
+            files = [f"{machine}.csv", f"{machine}.txt", f"{machine}.coop"]
+            _cli(tmp_path, "tournament", "--roster", f"default,@{machine}.fsm", "--noise", noise,
+                 "--out", files[0], "--histories", files[1], "--coop-report", files[2])
+            outputs.append([(tmp_path / name).read_bytes() for name in files])
+        assert b"Champion|" in outputs[0][1] and outputs[0] == outputs[1]

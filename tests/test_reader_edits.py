@@ -126,7 +126,7 @@ def _outcome(reader, path):
 
 
 def test_a_dump_as_written_takes_the_column_check():
-    assert list(_dump_columns(DUMP.decode()).items()) == list(RESULT.histories.items())
+    assert list(_dump_columns(DUMP.decode(), []).items()) == list(RESULT.histories.items())
 
 
 def _assert_read_as_the_line_walk_reads(tmp_path, data):
@@ -181,7 +181,7 @@ def test_a_default_roster_dump_takes_the_column_path_as_match_records(noise):
     result = run_tournament(TournamentConfig(
         roster=tuple(sid.name for sid in roster_default()), turns=200, repetitions=10,
         noise=noise, master_seed=0))
-    histories = _dump_columns(render_history_dump(result))
+    histories = _dump_columns(render_history_dump(result), [])
     assert histories is not None
     assert list(histories.items()) == list(result.histories.items())
     # a MatchRecord equals its plain tuple, so only the type tells them apart;
@@ -239,7 +239,7 @@ def _assert_a_player_reads_the_full_read_filtered(tmp_path, data):
 @pytest.mark.parametrize("dump", SELF_DUMPS, ids=["written", "no_last_end", "blank", "cr"])
 def test_a_player_reads_its_self_match_once_on_either_path(tmp_path, dump):
     # only the dump as written takes the column path; the others take the line walk
-    assert (_dump_columns(dump.decode(), "Random") is None) == (dump != SELF_DUMP)
+    assert (_dump_columns(dump.decode(), [], "Random") is None) == (dump != SELF_DUMP)
     _assert_a_player_reads_the_full_read_filtered(tmp_path, dump)
     path = tmp_path / "edited"
     assert [key for key in read_history_dump(path, "Random") if key[0] == key[1]] == [
